@@ -632,7 +632,9 @@ def to_dict(p: NCPoly) -> dict:
 
 
 def from_dict(data: dict) -> NCPoly:
-    return NCPoly(
-        data["alphabet"],
-        [(t["word"], Fraction(t["num"], t["den"])) for t in data["terms"]],
-    )
+    terms = []
+    for t in data["terms"]:
+        if t["den"] == 0:
+            raise ValueError(f"term {t['word']!r} has denominator 0")
+        terms.append((t["word"], Fraction(t["num"], t["den"])))
+    return NCPoly(data["alphabet"], terms)

@@ -2,8 +2,8 @@
 operator, the pyramid and lift maps, and the Delannoy path model.
 
 Every operator is defined on monomial words by a recursion and extended
-linearly.  Word-level results are memoized in module tables because the
-recursions revisit the same words constantly.
+linearly.  Word-level results are memoized because the recursions revisit
+the same words constantly.
 """
 
 from fractions import Fraction
@@ -21,7 +21,6 @@ from .ncpoly import (
     matrix_rank,
     monomial,
     reverse_star,
-    substitute,
     unit,
 )
 
@@ -30,7 +29,6 @@ _A_PLUS_2B = NCPoly(AB, {"a": 1, "b": 2})
 _A_MINUS_B = NCPoly(AB, {"a": 1, "b": -1})
 _AB_PLUS_BA = NCPoly(AB, {"ab": 1, "ba": 1})
 _DC_PLUS_CD = NCPoly(CD, {"dc": 1, "cd": 1})
-_NE_WEIGHT = NCPoly(CD, {"d": 2, "cc": -1})
 
 
 def _ab_coproduct_word(word: str):
@@ -138,47 +136,58 @@ def _composition_to_word(parts: tuple) -> str:
     return "b".join("a" * (part - 1) for part in parts)
 
 
-_MIXING_AB_CACHE: dict[tuple[str, str], NCPoly] = {}
+def _change_basis(terms: dict, sign: int) -> dict:
+    """Substitute a -> a + sign*b in every word, one letter position at a
+    time, so the work is n passes over at most 2^n words and nothing is
+    memoized.  Keys may join two words with "|"; both are substituted."""
+    terms = dict(terms)
+    for i in range(max(map(len, terms), default=0)):
+        for word, coeff in list(terms.items()):
+            if coeff and word[i : i + 1] == "a":
+                key = word[:i] + "b" + word[i + 1 :]
+                terms[key] = terms.get(key, 0) + sign * coeff
+    return terms
 
 
-def _mixing_ab_words(u: str, v: str) -> NCPoly:
-    key = (u, v)
-    cached = _MIXING_AB_CACHE.get(key)
-    if cached is not None:
-        return cached
-    to_flags = {"a": _A_PLUS_B, "b": monomial(AB, "b")}
-    from_flags = {"a": _A_MINUS_B, "b": monomial(AB, "b")}
-    u_flags = substitute(monomial(AB, u), to_flags)
-    v_flags = substitute(monomial(AB, v), to_flags)
-    mixed: dict[str, Fraction] = {}
-    for uw, cu in u_flags.terms.items():
-        alpha = _word_to_composition(uw)
-        for vw, cv in v_flags.terms.items():
-            beta = _word_to_composition(vw)
-            for parts, count in _quasi_shuffle(alpha, beta).items():
-                word = _composition_to_word(parts)
-                mixed[word] = mixed.get(word, Fraction(0)) + cu * cv * count
-    out = substitute(NCPoly(AB, mixed), from_flags)
-    _MIXING_AB_CACHE[key] = out
-    return out
+def _exact(coeff):
+    """An integral Fraction as int, so flag-basis sums stay in int arithmetic."""
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
+def _to_flags(p: NCPoly) -> dict:
+    """p in the flag basis (a -> a+b): composition -> coefficient."""
+    flags = _change_basis({w: _exact(c) for w, c in p.terms.items()}, 1)
+    return {_word_to_composition(w): c for w, c in flags.items() if c}
+
+
+def _mix_flag_pairs(pairs) -> NCPoly:
+    """Quasi-shuffle weighted pairs of flag compositions into one flag-basis
+    total and move that total back to ab-words (a -> a-b) once."""
+    flags: dict[tuple, object] = {}
+    for (alpha, beta), coeff in pairs:
+        if not coeff:
+            continue
+        for parts, count in _quasi_shuffle(alpha, beta).items():
+            flags[parts] = flags.get(parts, 0) + coeff * count
+    words = {_composition_to_word(parts): c for parts, c in flags.items() if c}
+    return NCPoly(AB, _change_basis(words, -1))
 
 
 def mixing_ab(p: NCPoly, q: NCPoly) -> NCPoly:
     """Mix two ab-polynomials the way direct products mix flag counts.
 
-    Both arguments move to the flag-count basis (a -> a+b), their words
-    quasi-shuffle as compositions, and the result moves back.  Each word
-    pair is mixed once and cached; the general case is bilinear over them.
+    Both arguments move to the flag-count basis (a -> a+b) once, every pair
+    of their compositions quasi-shuffles into one flag-basis total, and that
+    total moves back (a -> a-b) once.
     """
     if p.alphabet != AB or q.alphabet != AB:
         raise PosetOpsError("mixing acts on ab-polynomials")
-    mixed: dict[str, Fraction] = {}
-    for u, cu in p.terms.items():
-        for v, cv in q.terms.items():
-            factor = cu * cv
-            for word, coeff in _mixing_ab_words(u, v).terms.items():
-                mixed[word] = mixed.get(word, Fraction(0)) + coeff * factor
-    return NCPoly(AB, mixed)
+    q_flags = _to_flags(q)
+    return _mix_flag_pairs(
+        ((alpha, beta), cu * cv)
+        for alpha, cu in _to_flags(p).items()
+        for beta, cv in q_flags.items()
+    )
 
 
 _MIXING_CD_CACHE: dict[tuple[str, str], NCPoly] = {}
@@ -317,19 +326,26 @@ def cd_interval_transform(p: NCPoly) -> NCPoly:
 # -- second-kind transforms ------------------------------------------------------
 
 
-def _second_kind_word_ab(word: str) -> NCPoly:
-    result = monomial(AB, word) + reverse_star(monomial(AB, word))
-    for (u1, u2), coeff in _ab_coproduct_word(word).items():
-        piece = mixing_ab(reverse_star(monomial(AB, u1)), monomial(AB, u2))
-        result = result + piece.scaled(coeff)
-    return result
-
-
 def second_kind_ab_transform(p: NCPoly) -> NCPoly:
-    """Total index over the members of the one-per-element interval family."""
+    """Total index over the members of the one-per-element interval family.
+
+    The image of a word w is w + w* plus the mixing of u1* and u2 over the
+    coproduct terms (u1, u2) of w.  All those mixings, over all words of p,
+    share one flag-basis total, which moves back to ab-words once.
+    """
     if p.alphabet != AB:
         raise PosetOpsError("the transform acts on ab-polynomials")
-    return _apply_wordwise(p, _second_kind_word_ab)
+    pairs: dict[str, object] = {}  # "u1*|u2" -> coefficient
+    for word, coeff in p.terms.items():
+        coeff = _exact(coeff)
+        for (u1, u2), count in _ab_coproduct_word(word).items():
+            key = u1[::-1] + "|" + u2
+            pairs[key] = pairs.get(key, 0) + coeff * count
+    flag_pairs = (
+        (tuple(map(_word_to_composition, key.split("|"))), coeff)
+        for key, coeff in _change_basis(pairs, 1).items()
+    )
+    return p + p.star() + _mix_flag_pairs(flag_pairs)
 
 
 def _second_kind_word_cd(word: str) -> NCPoly:
@@ -350,35 +366,49 @@ def second_kind_cd_transform(p: NCPoly) -> NCPoly:
 
 _DELANNOY_CACHE: dict[tuple[int, int], NCPoly] = {}
 
+# Step weights of the Delannoy paths as (appended cd-word, integer factor).
+_C_STEP = (("c", 1),)
+_NE_STEP = (("d", 2), ("cc", -1))
+
+# The lattice-point recursion makes (i+2)(j+2) polynomial products, and the
+# polynomials grow like Fibonacci(i + j): i + j = 20 takes a fraction of a
+# second, every further step about 1.6 times as long.
+DELANNOY_MAX_STEPS = 20
+
 
 def delannoy_mixing(i: int, j: int) -> NCPoly:
-    """Mixing of two chain powers read off Delannoy paths, one path at a
-    time: east and north steps weigh c, diagonal steps weigh 2d - c²,
-    weights multiplied in step order; the grand total is then halved.
+    """Mixing of two chain powers read off weighted Delannoy paths.
+
+    Paths start at (-1, 0) or (0, -1) and end at (i, j); east and north
+    steps weigh c, diagonal steps weigh 2d - c², and weights multiply in
+    step order.  The path total W at each lattice point follows from its
+    three predecessors,
+        W(x, y) = W(x-1, y) c + W(x, y-1) c + W(x-1, y-1) (2d - c²),
+    and the grand total W(i, j) is then halved.
     """
     if i < 0 or j < 0:
         raise InvalidSize("path endpoints need i, j >= 0")
+    if i + j > DELANNOY_MAX_STEPS:
+        raise TooLarge(f"path endpoints need i + j <= {DELANNOY_MAX_STEPS}")
     cached = _DELANNOY_CACHE.get((i, j))
     if cached is not None:
         return cached
-    c = monomial(CD, "c")
-    total = NCPoly(CD)
-
-    def walk(x: int, y: int, weight: NCPoly) -> None:
-        nonlocal total
-        if x == i and y == j:
-            total = total + weight
-            return
-        if x < i:
-            walk(x + 1, y, weight * c)
-        if y < j:
-            walk(x, y + 1, weight * c)
-        if x < i and y < j:
-            walk(x + 1, y + 1, weight * _NE_WEIGHT)
-
-    walk(-1, 0, unit(CD))
-    walk(0, -1, unit(CD))
-    result = total.scaled(Fraction(1, 2))
+    west = [{}] * (j + 2)  # W(x - 1, y) at index y + 1, as word -> int
+    for x in range(-1, i + 1):
+        here = []  # W(x, y) at index y + 1
+        for y in range(-1, j + 1):
+            total = {"": 1} if (x, y) in ((-1, 0), (0, -1)) else {}
+            steps = [(west[y + 1], _C_STEP)]
+            if y >= 0:
+                steps += [(here[y], _C_STEP), (west[y], _NE_STEP)]
+            for before, weight in steps:
+                for word, k in before.items():
+                    for tail, factor in weight:
+                        key = word + tail
+                        total[key] = total.get(key, 0) + k * factor
+            here.append(total)
+        west = here
+    result = NCPoly(CD, {w: Fraction(k, 2) for w, k in west[j + 1].items()})
     _DELANNOY_CACHE[(i, j)] = result
     return result
 

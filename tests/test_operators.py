@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from posetops.ncpoly import (
     expand_cd,
     monomial,
     reverse_star,
+    substitute,
     unit,
 )
 from posetops.operators import (
@@ -362,6 +364,14 @@ def test_delannoy_rejects_negative():
         delannoy_mixing(-1, 0)
 
 
+def test_delannoy_caps_the_path_length():
+    assert delannoy_mixing(20, 0) == mixing_cd(monomial(CD, "c" * 20), unit(CD))
+    with pytest.raises(TooLarge):
+        delannoy_mixing(11, 10)
+    with pytest.raises(TooLarge):
+        delannoy_mixing(1000, 1000)
+
+
 def test_delannoy_ce_coefficients():
     assert delannoy_ce_coefficient(0, 0, 0) == 1
     assert delannoy_ce_coefficient(0, 1, 0) == Fraction(3, 2)
@@ -517,3 +527,105 @@ def test_eigen_experiments_caps():
         eigen_experiments(8)
     with pytest.raises(InvalidSize):
         eigen_experiments(0)
+
+
+# -- slow oracles: one path, one word pair, one coproduct term at a time ------------
+
+
+def delannoy_by_walking(i, j):
+    """Halved total of the Delannoy path weights, walking every path."""
+    c = monomial(CD, "c")
+    ne = cd({"d": 2, "cc": -1})
+    total = NCPoly(CD)
+
+    def walk(x, y, weight):
+        nonlocal total
+        if x == i and y == j:
+            total = total + weight
+            return
+        if x < i:
+            walk(x + 1, y, weight * c)
+        if y < j:
+            walk(x, y + 1, weight * c)
+        if x < i and y < j:
+            walk(x + 1, y + 1, weight * ne)
+
+    walk(-1, 0, unit(CD))
+    walk(0, -1, unit(CD))
+    return total.scaled(Fraction(1, 2))
+
+
+def composition(word):
+    return tuple(len(run) + 1 for run in word.split("b"))
+
+
+def composition_word(parts):
+    return "b".join("a" * (part - 1) for part in parts)
+
+
+TO_FLAGS = {"a": ab({"a": 1, "b": 1}), "b": monomial(AB, "b")}
+FROM_FLAGS = {"a": ab({"a": 1, "b": -1}), "b": monomial(AB, "b")}
+
+
+def mixing_ab_by_word_pairs(p, q):
+    """Mixing with a separate flag-basis round trip for every word pair."""
+    total = NCPoly(AB)
+    for u, cu in p.terms.items():
+        for v, cv in q.terms.items():
+            mixed = {}
+            v_flags = substitute(monomial(AB, v), TO_FLAGS).terms
+            for uw, c1 in substitute(monomial(AB, u), TO_FLAGS).terms.items():
+                for vw, c2 in v_flags.items():
+                    shuffled = _quasi_shuffle(composition(uw), composition(vw))
+                    for parts, count in shuffled.items():
+                        word = composition_word(parts)
+                        mixed[word] = mixed.get(word, 0) + c1 * c2 * count
+            pair = substitute(NCPoly(AB, mixed), FROM_FLAGS)
+            total = total + pair.scaled(cu * cv)
+    return total
+
+
+def second_kind_ab_by_coproduct_terms(p):
+    """II word by word: w + w* plus one mixing per deleted letter of w."""
+    total = NCPoly(AB)
+    for word, coeff in p.terms.items():
+        image = monomial(AB, word) + monomial(AB, word[::-1])
+        for k in range(len(word)):
+            left, right = monomial(AB, word[:k][::-1]), monomial(AB, word[k + 1 :])
+            image = image + mixing_ab_by_word_pairs(left, right)
+        total = total + image.scaled(coeff)
+    return total
+
+
+def random_ab_polys(seed, count):
+    """Seeded ab-polynomials of degrees 0..5, some with mixed degrees, with
+    integer and non-integral coefficients."""
+    rng = random.Random(seed)
+    polys = [lift(unit(AB)), ab({"a": 1, "b": -1}), NCPoly(AB)]
+    while len(polys) < count:
+        degree = rng.randint(0, 5)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            n = degree if rng.random() < 0.7 else rng.randint(0, 5)
+            word = "".join(rng.choice("ab") for _ in range(n))
+            terms[word] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+        polys.append(ab(terms))
+    return polys
+
+
+def test_delannoy_matches_the_path_walker():
+    for i in range(6):
+        for j in range(6):
+            assert delannoy_mixing(i, j) == delannoy_by_walking(i, j), (i, j)
+
+
+def test_mixing_ab_matches_the_word_pair_route():
+    polys = random_ab_polys(2020, 16)
+    for p, q in zip(polys, polys[1:] + polys[:1]):
+        assert mixing_ab(p, q) == mixing_ab_by_word_pairs(p, q), (p, q)
+    assert any(c.denominator > 1 for p in polys for c in p.terms.values())
+
+
+def test_second_kind_ab_matches_the_coproduct_term_route():
+    for p in random_ab_polys(2021, 16):
+        assert second_kind_ab_transform(p) == second_kind_ab_by_coproduct_terms(p), p
