@@ -148,10 +148,6 @@ def univariate_to_dict(p: UnivariatePoly) -> dict:
     return {"coeffs": [[c.numerator, c.denominator] for c in p.coeffs]}
 
 
-def univariate_from_dict(data: dict) -> UnivariatePoly:
-    return UnivariatePoly([Fraction(num, den) for num, den in data["coeffs"]])
-
-
 # -- simplicial complexes --------------------------------------------------------
 
 
@@ -234,10 +230,6 @@ class SimplicialComplex:
 
     def edges(self):
         return sorted(tuple(sorted(f)) for f in self.faces if len(f) == 2)
-
-
-def f_vector(K: SimplicialComplex):
-    return K.f_vector()
 
 
 def F_polynomial(K: SimplicialComplex) -> UnivariatePoly:

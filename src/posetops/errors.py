@@ -70,9 +70,5 @@ class OddEPower(PosetOpsError):
     """Rewriting e-words in c and d needs every run of e's to have even length."""
 
 
-class NotCoalgebraElement(PosetOpsError):
-    """The coproduct of the input does not stay inside the expected span."""
-
-
 class DegreeMismatch(PosetOpsError):
     """The requested coefficient does not exist at this degree."""

@@ -79,12 +79,13 @@ def upsilon(P: GradedPoset) -> NCPoly:
     fv = flag_f_vector(P)
     if fv.n < 1:
         raise PosetOpsError("the poset must have rank at least 1")
-    terms: dict[str, int] = {}
-    for S, count in fv.counts.items():
-        chosen = set(S)
-        word = "".join("b" if r in chosen else "a" for r in range(1, fv.n))
-        terms[word] = terms.get(word, 0) + count
-    return NCPoly(AB, terms)
+    return NCPoly(
+        AB,
+        {
+            "".join("b" if r in S else "a" for r in range(1, fv.n)): count
+            for S, count in fv.counts.items()
+        },
+    )
 
 
 def ab_index(P: GradedPoset) -> NCPoly:
@@ -95,13 +96,11 @@ def ab_index(P: GradedPoset) -> NCPoly:
 
 
 def cd_index(P: GradedPoset) -> NCPoly:
-    """Rewrite the ab-index in c and d; the two grading conventions must
-    land on the same polynomial, which is asserted here."""
-    from_psi = rewrite_ab_to_cd(ab_index(P), convention="Psi")
-    from_ups = rewrite_ab_to_cd(upsilon(P), convention="Upsilon")
-    if from_psi != from_ups:
-        raise PosetOpsError("cd rewrites from the two conventions disagree")
-    return from_psi
+    """Rewrite the ab-index in c = a+b and d = ab+ba; raises NotExpressible
+    for non-Eulerian flag data.  The Upsilon route (the flag polynomial in
+    c = a+2b, d = ab+ba+2bb) lands on the same polynomial; the tests check
+    that on the Eulerian members of the verify corpus."""
+    return rewrite_ab_to_cd(ab_index(P))
 
 
 def ce_index(P: GradedPoset) -> NCPoly:

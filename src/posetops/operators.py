@@ -14,13 +14,13 @@ from .ncpoly import (
     AB,
     CD,
     NCPoly,
+    _accumulate,
+    _apply_wordwise,
     _cd_coproduct_word,
     ab_words,
     asym_basis,
-    expand_cd,
     matrix_rank,
     monomial,
-    reverse_star,
     unit,
 )
 
@@ -33,21 +33,7 @@ _DC_PLUS_CD = NCPoly(CD, {"dc": 1, "cd": 1})
 
 def _ab_coproduct_word(word: str):
     """Delete one letter in every position: word -> {(left, right): count}."""
-    out: dict[tuple[str, str], int] = {}
-    for i in range(len(word)):
-        key = (word[:i], word[i + 1 :])
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _apply_wordwise(p: NCPoly, table) -> NCPoly:
-    total = None
-    for word, coeff in p.terms.items():
-        piece = table(word).scaled(coeff)
-        total = piece if total is None else total + piece
-    if total is None:
-        return NCPoly(table("").alphabet)
-    return total
+    return _accumulate({}, (((word[:i], word[i + 1 :]), 1) for i in range(len(word))))
 
 
 # -- the vertex-wise interval transform on flag words ---------------------------
@@ -87,7 +73,7 @@ def upsilon_interval_transform(p: NCPoly) -> NCPoly:
     original poset, term by term."""
     if p.alphabet != AB:
         raise PosetOpsError("the transform acts on ab-polynomials")
-    return _apply_wordwise(p, _iota_word)
+    return _apply_wordwise(p, _iota_word, AB)
 
 
 # -- mixing operator -------------------------------------------------------------
@@ -112,9 +98,7 @@ def _quasi_shuffle(alpha: tuple, beta: tuple) -> dict:
         ((beta[0],), _quasi_shuffle(alpha, beta[1:])),
         ((alpha[0] + beta[0],), _quasi_shuffle(alpha[1:], beta[1:])),
     ):
-        for tail, count in rest.items():
-            merged = head + tail
-            out[merged] = out.get(merged, 0) + count
+        _accumulate(out, ((head + tail, count) for tail, count in rest.items()))
     _QS_CACHE[key] = out
     return out
 
@@ -142,22 +126,20 @@ def _change_basis(terms: dict, sign: int) -> dict:
     memoized.  Keys may join two words with "|"; both are substituted."""
     terms = dict(terms)
     for i in range(max(map(len, terms), default=0)):
-        for word, coeff in list(terms.items()):
-            if coeff and word[i : i + 1] == "a":
-                key = word[:i] + "b" + word[i + 1 :]
-                terms[key] = terms.get(key, 0) + sign * coeff
+        _accumulate(
+            terms,
+            [
+                (word[:i] + "b" + word[i + 1 :], sign * coeff)
+                for word, coeff in terms.items()
+                if word[i : i + 1] == "a"
+            ],
+        )
     return terms
-
-
-def _exact(coeff):
-    """An integral Fraction as int, so flag-basis sums stay in int arithmetic."""
-    return coeff.numerator if coeff.denominator == 1 else coeff
 
 
 def _to_flags(p: NCPoly) -> dict:
     """p in the flag basis (a -> a+b): composition -> coefficient."""
-    flags = _change_basis({w: _exact(c) for w, c in p.terms.items()}, 1)
-    return {_word_to_composition(w): c for w, c in flags.items() if c}
+    return {_word_to_composition(w): c for w, c in _change_basis(p.terms, 1).items()}
 
 
 def _mix_flag_pairs(pairs) -> NCPoly:
@@ -165,12 +147,10 @@ def _mix_flag_pairs(pairs) -> NCPoly:
     total and move that total back to ab-words (a -> a-b) once."""
     flags: dict[tuple, object] = {}
     for (alpha, beta), coeff in pairs:
-        if not coeff:
-            continue
-        for parts, count in _quasi_shuffle(alpha, beta).items():
-            flags[parts] = flags.get(parts, 0) + coeff * count
-    words = {_composition_to_word(parts): c for parts, c in flags.items() if c}
-    return NCPoly(AB, _change_basis(words, -1))
+        shuffled = _quasi_shuffle(alpha, beta).items()
+        _accumulate(flags, ((parts, coeff * count) for parts, count in shuffled))
+    words = {_composition_to_word(parts): c for parts, c in flags.items()}
+    return NCPoly._wrap(AB, _change_basis(words, -1))
 
 
 def mixing_ab(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -231,11 +211,9 @@ def _mixing_cd_words(u: str, v: str) -> NCPoly:
 def mixing_cd(p: NCPoly, q: NCPoly) -> NCPoly:
     if p.alphabet != CD or q.alphabet != CD:
         raise PosetOpsError("this mixing form acts on cd-polynomials")
-    total = NCPoly(CD)
-    for u, cu in p.terms.items():
-        for v, cv in q.terms.items():
-            total = total + _mixing_cd_words(u, v).scaled(cu * cv)
-    return total
+    return _apply_wordwise(
+        p, lambda u: _apply_wordwise(q, lambda v: _mixing_cd_words(u, v), CD), CD
+    )
 
 
 def pyramid(p: NCPoly) -> NCPoly:
@@ -266,11 +244,11 @@ def _ab_interval_word(word: str) -> NCPoly:
         result = _A_PLUS_B
     else:
         u, last = word[:-1], word[-1]
-        u_star = reverse_star(monomial(AB, u))
+        u_star = monomial(AB, u[::-1])
         inner = monomial(AB, "ab" if last == "a" else "ba")
         result = _ab_interval_word(u) * monomial(AB, last) + _AB_PLUS_BA * u_star
         for (u1, u2), coeff in _ab_coproduct_word(u).items():
-            piece = _ab_interval_word(u2) * inner * reverse_star(monomial(AB, u1))
+            piece = _ab_interval_word(u2) * inner * monomial(AB, u1[::-1])
             result = result + piece.scaled(coeff)
     _IAB_CACHE[word] = result
     return result
@@ -280,7 +258,7 @@ def ab_interval_transform(p: NCPoly) -> NCPoly:
     """Index of the bottomed interval poset from the index of the poset."""
     if p.alphabet != AB:
         raise PosetOpsError("the transform acts on ab-polynomials")
-    return _apply_wordwise(p, _ab_interval_word)
+    return _apply_wordwise(p, _ab_interval_word, AB)
 
 
 _ICD_CACHE: dict[str, NCPoly] = {}
@@ -294,12 +272,12 @@ def _cd_interval_word(word: str) -> NCPoly:
         result = monomial(CD, "c")
     else:
         u, last = word[:-1], word[-1]
-        u_star = reverse_star(monomial(CD, u))
+        u_star = monomial(CD, u[::-1])
         d = monomial(CD, "d")
         if last == "c":
             result = _cd_interval_word(u) * monomial(CD, "c") + 2 * d * u_star
             for (u1, u2), coeff in _cd_coproduct_word(u).items():
-                piece = _cd_interval_word(u2) * d * reverse_star(monomial(CD, u1))
+                piece = _cd_interval_word(u2) * d * monomial(CD, u1[::-1])
                 result = result + piece.scaled(coeff)
         else:
             result = (
@@ -308,8 +286,8 @@ def _cd_interval_word(word: str) -> NCPoly:
                 + d * u_star * monomial(CD, "c")
             )
             for (u1, u2), coeff in _cd_coproduct_word(u).items():
-                u1_star = reverse_star(monomial(CD, u1))
-                u2_star = reverse_star(monomial(CD, u2))
+                u1_star = monomial(CD, u1[::-1])
+                u2_star = monomial(CD, u2[::-1])
                 piece = _cd_interval_word(u2) * d * mixing_cd(unit(CD), u1_star)
                 piece = piece + d * u2_star * d * u1_star
                 result = result + piece.scaled(coeff)
@@ -320,7 +298,7 @@ def _cd_interval_word(word: str) -> NCPoly:
 def cd_interval_transform(p: NCPoly) -> NCPoly:
     if p.alphabet != CD:
         raise PosetOpsError("this transform acts on cd-polynomials")
-    return _apply_wordwise(p, _cd_interval_word)
+    return _apply_wordwise(p, _cd_interval_word, CD)
 
 
 # -- second-kind transforms ------------------------------------------------------
@@ -335,12 +313,14 @@ def second_kind_ab_transform(p: NCPoly) -> NCPoly:
     """
     if p.alphabet != AB:
         raise PosetOpsError("the transform acts on ab-polynomials")
-    pairs: dict[str, object] = {}  # "u1*|u2" -> coefficient
-    for word, coeff in p.terms.items():
-        coeff = _exact(coeff)
-        for (u1, u2), count in _ab_coproduct_word(word).items():
-            key = u1[::-1] + "|" + u2
-            pairs[key] = pairs.get(key, 0) + coeff * count
+    pairs = _accumulate(  # "u1*|u2" -> coefficient
+        {},
+        (
+            (u1[::-1] + "|" + u2, coeff * count)
+            for word, coeff in p.terms.items()
+            for (u1, u2), count in _ab_coproduct_word(word).items()
+        ),
+    )
     flag_pairs = (
         (tuple(map(_word_to_composition, key.split("|"))), coeff)
         for key, coeff in _change_basis(pairs, 1).items()
@@ -349,9 +329,9 @@ def second_kind_ab_transform(p: NCPoly) -> NCPoly:
 
 
 def _second_kind_word_cd(word: str) -> NCPoly:
-    result = monomial(CD, word) + reverse_star(monomial(CD, word))
+    result = monomial(CD, word) + monomial(CD, word[::-1])
     for (u1, u2), coeff in _cd_coproduct_word(word).items():
-        piece = mixing_cd(reverse_star(monomial(CD, u1)), monomial(CD, u2))
+        piece = mixing_cd(monomial(CD, u1[::-1]), monomial(CD, u2))
         result = result + piece.scaled(coeff)
     return result
 
@@ -359,16 +339,15 @@ def _second_kind_word_cd(word: str) -> NCPoly:
 def second_kind_cd_transform(p: NCPoly) -> NCPoly:
     if p.alphabet != CD:
         raise PosetOpsError("this transform acts on cd-polynomials")
-    return _apply_wordwise(p, _second_kind_word_cd)
+    return _apply_wordwise(p, _second_kind_word_cd, CD)
 
 
 # -- Delannoy path model ---------------------------------------------------------
 
 _DELANNOY_CACHE: dict[tuple[int, int], NCPoly] = {}
 
-# Step weights of the Delannoy paths as (appended cd-word, integer factor).
-_C_STEP = (("c", 1),)
-_NE_STEP = (("d", 2), ("cc", -1))
+_C = NCPoly(CD, {"c": 1})
+_TWO_D_MINUS_CC = NCPoly(CD, {"d": 2, "cc": -1})
 
 # The lattice-point recursion makes (i+2)(j+2) polynomial products, and the
 # polynomials grow like Fibonacci(i + j): i + j = 20 takes a fraction of a
@@ -393,22 +372,20 @@ def delannoy_mixing(i: int, j: int) -> NCPoly:
     cached = _DELANNOY_CACHE.get((i, j))
     if cached is not None:
         return cached
-    west = [{}] * (j + 2)  # W(x - 1, y) at index y + 1, as word -> int
+    zero = NCPoly(CD)
+    west = [zero] * (j + 2)  # W(x - 1, y) at index y + 1
     for x in range(-1, i + 1):
         here = []  # W(x, y) at index y + 1
         for y in range(-1, j + 1):
-            total = {"": 1} if (x, y) in ((-1, 0), (0, -1)) else {}
-            steps = [(west[y + 1], _C_STEP)]
-            if y >= 0:
-                steps += [(here[y], _C_STEP), (west[y], _NE_STEP)]
-            for before, weight in steps:
-                for word, k in before.items():
-                    for tail, factor in weight:
-                        key = word + tail
-                        total[key] = total.get(key, 0) + k * factor
+            if y < 0:
+                total = west[y + 1] * _C
+            else:
+                total = (west[y + 1] + here[y]) * _C + west[y] * _TWO_D_MINUS_CC
+            if (x, y) in ((-1, 0), (0, -1)):
+                total = total + unit(CD)
             here.append(total)
         west = here
-    result = NCPoly(CD, {w: Fraction(k, 2) for w, k in west[j + 1].items()})
+    result = west[j + 1].scaled(Fraction(1, 2))
     _DELANNOY_CACHE[(i, j)] = result
     return result
 
@@ -473,11 +450,6 @@ def ce_word_count(n: int, r: int) -> int:
     return comb(n - r, r)
 
 
-def gamma_value(n: int) -> int:
-    """Total of the ce coefficients of the second-kind transform of c^n."""
-    return 2 * (n + 1)
-
-
 # -- eigenvector experiments -------------------------------------------------------
 
 
@@ -531,7 +503,7 @@ def eigen_experiments(max_n: int) -> list:
             eigen_rank = matrix_rank(_poly_columns(eigen_compositions))
         else:
             eigen_rank = 0
-        all_symmetric = all(reverse_star(v) == v for v in compositions)
+        all_symmetric = all(v.star() == v for v in compositions)
 
         results.append(
             {

@@ -141,31 +141,6 @@ class Poset:
         """Bitmask of the elements between i and j inclusive."""
         return self.up[i] & self.down[j]
 
-    def subposet(self, labels) -> "Poset":
-        """Induced subposet; covers are recomputed from the inherited order."""
-        keep = list(labels)
-        keep_set = set(keep)
-        if len(keep_set) != len(keep):
-            raise PosetOpsError("repeated label in subposet selection")
-        for label in keep:
-            if label not in self.index:
-                raise PosetOpsError(f"unknown element {label!r}")
-        chosen = [label for label in self.labels if label in keep_set]
-        idx = [self.index[label] for label in chosen]
-        mask = 0
-        for i in idx:
-            mask |= 1 << i
-        covers = []
-        for a_pos, i in enumerate(idx):
-            for b_pos, j in enumerate(idx):
-                if i == j or not (self.up[i] >> j & 1):
-                    continue
-                between = self.up[i] & self.down[j] & mask
-                between &= ~(1 << i) & ~(1 << j)
-                if not between:
-                    covers.append((chosen[a_pos], chosen[b_pos]))
-        return Poset(chosen, covers)
-
     def dual(self) -> "Poset":
         return Poset(self.labels, [(hi, lo) for lo, hi in self.cover_pairs()])
 
@@ -218,11 +193,6 @@ class GradedPoset(Poset):
 
     def dual(self) -> "GradedPoset":
         return GradedPoset(self.labels, [(hi, lo) for lo, hi in self.cover_pairs()])
-
-
-def build_graded(elements, covers) -> GradedPoset:
-    """Assemble a graded poset from labels and covers, validating as it goes."""
-    return GradedPoset(elements, covers)
 
 
 # -- generators ----------------------------------------------------------------
@@ -362,16 +332,15 @@ def induced_subposet(P: Poset, elements) -> GradedPoset:
         idx.append(P.index[label])
     if len(set(idx)) != len(idx):
         raise PosetOpsError("elements repeat")
-    keep = set(idx)
+    keep = 0
+    for i in idx:
+        keep |= 1 << i
     covers = []
     for i in idx:
         for j in idx:
             if i == j or not P.up[i] >> j & 1:
                 continue
-            between = any(
-                k != i and k != j and P.up[i] >> k & 1 and P.up[k] >> j & 1
-                for k in keep
-            )
+            between = P.interval_indices(i, j) & keep & ~(1 << i | 1 << j)
             if not between:
                 covers.append((P.labels[i], P.labels[j]))
     return GradedPoset([P.labels[i] for i in idx], covers)
@@ -760,6 +729,9 @@ def poset_to_dict(P: Poset) -> dict:
 
 def poset_from_dict(data: dict) -> Poset:
     elements = data["elements"]
+    for label in elements:
+        if not isinstance(label, str):
+            raise PosetOpsError(f"element label {label!r} is not a string")
     covers = [tuple(pair) for pair in data["covers"]]
     if data.get("rank") is None:
         return Poset(elements, covers)

@@ -24,7 +24,6 @@ from .complexes import (
     UnivariatePoly,
     cheb_transform_T,
     complex_to_dict,
-    f_vector,
     order_complex,
     order_complex_of_intervals_check,
     second_kind_links,
@@ -54,7 +53,6 @@ from .operators import (
     delannoy_ce_coefficient,
     delannoy_mixing,
     eigen_experiments,
-    gamma_value,
     ladder_interval_coefficient,
     ladder_second_kind_ce_coefficient,
     ladder_second_kind_coefficient,
@@ -613,15 +611,21 @@ def ladder_cases() -> list:
                 expand_cd(second_kind_cd_transform(monomial(CD, "c" * n))),
             )
         )
-    for n in range(1, 9):
+    ce_totals = {
+        n: cd_ce_convert(
+            second_kind_cd_transform(monomial(CD, "c" * n)), CE
+        ).coefficient_total()
+        for n in range(1, 9)
+    }
+    for n, total in ce_totals.items():
         cases.append(
             case(
                 f"total ce weight at degree {n} is 2(n+1)",
                 2 * (n + 1),
-                gamma_value(n),
+                total,
             )
         )
-    cases.append(case("total ce weight at degree 4 is 10", 10, gamma_value(4)))
+    cases.append(case("total ce weight at degree 4 is 10", 10, ce_totals[4]))
     return cases
 
 
@@ -672,7 +676,7 @@ def triangulation_cases() -> list:
         reference = tchebyshev_triangulation(K)
         distinct = sorted(
             {
-                tuple(f_vector(tchebyshev_triangulation(K, order)))
+                tuple(tchebyshev_triangulation(K, order).f_vector())
                 for order in itertools.permutations(edges)
             }
         )
@@ -680,7 +684,7 @@ def triangulation_cases() -> list:
             case(
                 f"{name}: one face count across all orders of its "
                 f"{len(edges)} edges",
-                [f_vector(reference)],
+                [reference.f_vector()],
                 [list(fv) for fv in distinct],
             )
         )
@@ -750,7 +754,7 @@ def interval_eulerian_cases(seed: int = 0) -> list:
         K = order_complex(
             graded_interval_poset(boolean_lattice(n)), strip_extremes=True
         )
-        counts = f_vector(K)
+        counts = K.f_vector()
         cases.append(
             case(
                 f"face numbers of the proper interval complex of boolean {n}",
@@ -774,7 +778,7 @@ def interval_eulerian_cases(seed: int = 0) -> list:
             case(
                 f"boolean {n}: same face numbers as the proper part of the "
                 "crosspolytope face lattice",
-                f_vector(cross),
+                cross.f_vector(),
                 counts,
             )
         )

@@ -283,3 +283,31 @@ def test_console_script_runs_a_suite(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["summary"]["failed"] == 0
+
+
+def assert_refused(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "num, den", [(1.5, 1), (1, 2.0), ("1", 1), (1, "2"), (True, 1), (1, True)]
+)
+def test_op_refuses_a_non_integer_numerator_or_denominator(tmp_path, capsys, num, den):
+    poly = tmp_path / "inexact.json"
+    write_poly(poly, "ab", [("a", num, den)])
+    assert_refused(*run_cli(capsys, ["op", "lift", "--in", str(poly)]))
+
+
+def test_poset_refuses_non_string_labels(tmp_path, capsys):
+    poset = tmp_path / "int_labels.json"
+    poset.write_text(
+        json.dumps(
+            {"elements": [1, 2], "covers": [[1, 2]], "rank": None,
+             "bottom": None, "top": None}
+        ),
+        encoding="utf-8",
+    )
+    assert_refused(*run_cli(capsys, ["poset", "dual", "--in", str(poset)]))

@@ -13,7 +13,7 @@ from posetops.flags import (
     flag_to_dict,
     upsilon,
 )
-from posetops.ncpoly import AB, CD, CE, NCPoly, reverse_star
+from posetops.ncpoly import AB, CD, CE, NCPoly, rewrite_ab_to_cd
 from posetops.posets import (
     boolean_lattice,
     chain_poset,
@@ -21,8 +21,10 @@ from posetops.posets import (
     cube_lattice,
     direct_product,
     graded_interval_poset,
+    is_eulerian,
     ladder_poset,
 )
+from posetops.verify import corpus
 
 
 def test_flag_vector_of_boolean_square():
@@ -114,7 +116,7 @@ def test_cd_index_of_interval_poset_matches_cube_lattice():
 def test_cd_index_of_crosspolytope_is_reversed_cube():
     for n in range(1, 4):
         lhs = cd_index(crosspolytope_lattice(n))
-        rhs = reverse_star(cd_index(cube_lattice(n)))
+        rhs = cd_index(cube_lattice(n)).star()
         assert lhs == rhs
 
 
@@ -140,3 +142,24 @@ def test_flag_round_trip():
     sizes = [len(entry["S"]) for entry in data["counts"]]
     assert sizes == sorted(sizes)
     assert flag_from_dict(data) == fv
+
+
+def _cd_or_refusal(route):
+    try:
+        return route()
+    except NotExpressible:
+        return None
+
+
+def test_upsilon_route_agrees_with_cd_index_on_the_corpus():
+    # cd_index runs one route (Psi on the ab-index); the flag polynomial
+    # rewritten under the Upsilon convention is the independent second one.
+    eulerian = 0
+    for name, P in corpus(0):
+        from_psi = _cd_or_refusal(lambda: cd_index(P))
+        from_ups = _cd_or_refusal(lambda: rewrite_ab_to_cd(upsilon(P), "Upsilon"))
+        assert from_psi == from_ups, name
+        if is_eulerian(P):
+            assert from_psi is not None, name
+            eulerian += 1
+    assert eulerian >= 20

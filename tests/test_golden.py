@@ -1,0 +1,135 @@
+"""Byte-identity guard: the sha256 of stdout (and the exit code) of a fixed
+list of small CLI calls.
+
+The digests pin the exact JSON the command line prints, so any change in
+coefficient types, term order or the cd elimination that alters a single
+byte fails here.  Regenerate them only for an intended output change:
+
+    PYTHONPATH=src python -c "import tests.test_golden as g; g.print_digests()"
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from posetops.cli import main
+
+# Polynomial input files, as (alphabet, [(word, num, den), ...]).
+POLYS = {
+    # degree 4, non-integral coefficients
+    "ab_frac": ("ab", [
+        ("aaaa", -1, 4), ("aabb", -3, 1), ("abba", 1, 2),
+        ("baab", 5, 3), ("babb", 2, 7), ("bbbb", 1, 1),
+    ]),
+    # degree 3, integral
+    "ab_small": ("ab", [("aba", 2, 1), ("bab", -1, 1), ("bbb", 3, 1)]),
+    # degree 5 and 4, non-integral
+    "cd_frac": ("cd", [("ccccc", 1, 2), ("cdc", -3, 1), ("ddc", 2, 3)]),
+    "cd_small": ("cd", [("cccc", 1, 1), ("cd", 1, 3), ("dd", -2, 1)]),
+}
+
+CALLS = (
+    [
+        ["index", which, "--kind", kind, "--n", n]
+        for kind, n in (
+            ("boolean", "4"), ("cube", "3"), ("crosspolytope", "3"), ("ladder", "4"),
+        )
+        for which in ("flag", "upsilon", "ab", "cd", "ce")
+    ]
+    + [["index", "cd", "--kind", "chain", "--n", "3"]]
+    + [["op", which, "--in", "ab_frac"] for which in ("iota", "Iab", "IIab", "pyr", "lift")]
+    + [
+        ["op", "Icd", "--in", "cd_frac"],
+        ["op", "Icd", "--in", "ab_frac"],
+        ["op", "M", "--in", "ab_frac", "--in2", "ab_small"],
+        ["op", "M", "--in", "cd_frac", "--in2", "cd_small"],
+        ["op", "M", "--in", "ab_small", "--in2", "cd_small"],
+        ["op", "delannoy", "--i", "3", "--j", "4"],
+        ["verify", "--suite", "delannoy"],
+    ]
+)
+
+# " ".join(argv) -> (exit code, sha256 of stdout), recorded before the
+# coefficient rule, the peeled cd rewrite and the single-route cd_index.
+DIGESTS = {
+    "index flag --kind boolean --n 4": (0, "787a3a431ac42c74d5fa36d436b481a66707e18ff21e4e47e0a042561fdc7add"),
+    "index upsilon --kind boolean --n 4": (0, "09144814a6bcd88255270a7d2626c166bfa3589e3aa72dabd1ed22c4d5ccdac5"),
+    "index ab --kind boolean --n 4": (0, "17baffadb10d5ceff8ae837bb5c74dbec8f6a16e953438c3562ad40ed6c87c0b"),
+    "index cd --kind boolean --n 4": (0, "7b59a499ec7743a414ef1e6251ddf4f1ff5dcce7c63582c163a7725bcff51584"),
+    "index ce --kind boolean --n 4": (0, "11f3697dc743e119e7ab86940415a5f4f48012e7b69da7d60e4a143544e8d714"),
+    "index flag --kind cube --n 3": (0, "c661fcfd4f817efbf52621420b2b0444c781c7558d15cc6114211219050dfbf1"),
+    "index upsilon --kind cube --n 3": (0, "9cbe76948c79d54157efd4aa7b40d43def5c7a77db2a25314b9474fffbeeca1f"),
+    "index ab --kind cube --n 3": (0, "b619f559aa6703582d9299eea1358c2adb86e206ee355e3877fc0fc774496b13"),
+    "index cd --kind cube --n 3": (0, "cf1f9f8396fcdb6824c5d42477edbf9732965eb5edb48eea599f81499934c7aa"),
+    "index ce --kind cube --n 3": (0, "27c7a0ee328301e4991cfb795633c6d3bf5b22a41829714e51de0faf08843540"),
+    "index flag --kind crosspolytope --n 3": (0, "3e89e81e6133a503945002ddc9be41e768d76c1d9f47e41021e6f7bf74b81a38"),
+    "index upsilon --kind crosspolytope --n 3": (0, "a90dde476b2023990c5f8e5395b37e1cb0187331acc34c8a980ca27a7743a7ea"),
+    "index ab --kind crosspolytope --n 3": (0, "7f24e160c63d407b4a5be64911f4c3429ed284b826cf6d8733ae6b89100b3a24"),
+    "index cd --kind crosspolytope --n 3": (0, "d82d7e5a975a2135bcf2dd8f02c6295b95f692e557445840e44761111af120fc"),
+    "index ce --kind crosspolytope --n 3": (0, "37d35052fd1dde2bdbde7458e2498f0eb9592f35c19fe09a51cbd349cf3b0ca9"),
+    "index flag --kind ladder --n 4": (0, "63f3ff8cdacaa795df039a21febc2e2bc6f96a479bb59f87a37c5e9d4f72e2c8"),
+    "index upsilon --kind ladder --n 4": (0, "13c34b2e422f790f40ae0a417894e59f165b3b25024a1a32bb95b58369146c22"),
+    "index ab --kind ladder --n 4": (0, "f74e677dc565a0b1f79481d5b929188e290ded73c30d8f5b54639d8d3b046f9b"),
+    "index cd --kind ladder --n 4": (0, "79cafb6718af3694b030de90762304e0e87d2ed9e3804024818ae615e8c5df7d"),
+    "index ce --kind ladder --n 4": (0, "403e59744c19d96a9123ac8cd2722011ce2e626ba74158c22983b37bb4582259"),
+    "index cd --kind chain --n 3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "op iota --in ab_frac": (0, "cd9f151d5f9fa079212bc0e614a3410f530b003cf9b02132bed302bfc0da1bc1"),
+    "op Iab --in ab_frac": (0, "bc62ef479733218357e23492ac4fa5e8896d5c570aa5adbd16143f89ee8566cd"),
+    "op IIab --in ab_frac": (0, "ae1b24371069eb82bf7cb1e71ebaeb50b382421dee8c35e51b2f111b66c3a3af"),
+    "op pyr --in ab_frac": (0, "20210b79d1fc19ce6c9eb75c626c28907271097c53582457b4012da07c48325e"),
+    "op lift --in ab_frac": (0, "4ba3478e1e94c4d8e40ba48ed94fcc15c2bc5c9b024cca028f4e00563b410648"),
+    "op Icd --in cd_frac": (0, "e4816941b534e1951370bfdda00d0339efb2865211d13356c6f017acc0922701"),
+    "op Icd --in ab_frac": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "op M --in ab_frac --in2 ab_small": (0, "d16de9f61f73898cd5a03866a25e9b1d84444ff031e4c4ef64f76a0814a603ad"),
+    "op M --in cd_frac --in2 cd_small": (0, "6f82705ea2f746bfc891b7067e3304585188b9a688fddf8cc2ba6d83ffee6103"),
+    "op M --in ab_small --in2 cd_small": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "op delannoy --i 3 --j 4": (0, "b84491efc6301a500a50492e191b600e2fd554d3ee4135ced13ea8f63a570e69"),
+    "verify --suite delannoy": (0, "132c11155eceb71256b9df2b7575119881cbb346beb5befb9093ed790935b6d2"),
+}
+
+
+def _write_inputs(directory):
+    for name, (alphabet, terms) in POLYS.items():
+        data = {
+            "alphabet": alphabet,
+            "terms": [{"word": w, "num": num, "den": den} for w, num, den in terms],
+        }
+        (directory / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+
+
+def _resolve(argv, directory):
+    return [str(directory / f"{a}.json") if a in POLYS else a for a in argv]
+
+
+def _run(argv, directory, capsys):
+    code = main(_resolve(argv, directory))
+    captured = capsys.readouterr()
+    return code, hashlib.sha256(captured.out.encode("utf-8")).hexdigest(), captured.err
+
+
+def print_digests():
+    """Print the DIGESTS table for the current code."""
+    import tempfile
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        _write_inputs(directory)
+        for argv in CALLS:
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(_resolve(argv, directory))
+            digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+            print(f'    "{" ".join(argv)}": ({code}, "{digest}"),')
+
+
+@pytest.mark.parametrize("argv", CALLS, ids=[" ".join(a) for a in CALLS])
+def test_cli_output_is_byte_identical(argv, tmp_path, capsys):
+    _write_inputs(tmp_path)
+    code, digest, err = _run(argv, tmp_path, capsys)
+    assert (code, digest) == DIGESTS[" ".join(argv)]
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,7 +118,7 @@ def test_rewrite_requires_homogeneous():
 
 def test_rewrite_round_trips_both_conventions():
     for convention in ("Psi", "Upsilon"):
-        for n in range(0, 6):
+        for n in range(0, 8):
             for w in ncpoly.cd_words(n):
                 p = ncpoly.expand_cd_word(w, convention)
                 assert ncpoly.rewrite_ab_to_cd(p, convention) == P(CD, {w: 1})
@@ -265,3 +266,76 @@ def test_serialization_orders_by_length_then_word():
     p = P(CD, {"d": 1, "cc": 1, "c": 5})
     words = [t["word"] for t in ncpoly.to_dict(p)["terms"]]
     assert words == ["c", "d", "cc"]
+
+
+def _expand_tensor(t):
+    out = {}
+    for (w1, w2), c in t.terms.items():
+        for x1, c1 in ncpoly.expand_cd_word(w1).terms.items():
+            for x2, c2 in ncpoly.expand_cd_word(w2).terms.items():
+                out[x1, x2] = out.get((x1, x2), 0) + c * c1 * c2
+    return TensorPoly(AB, out)
+
+
+def test_cd_coproduct_expands_to_the_ab_coproduct():
+    # the cd recursion and the ab coproduct of the expansion are two routes
+    for n in range(0, 8):
+        for w in ncpoly.cd_words(n):
+            p = P(CD, {w: 1})
+            direct = ncpoly.coproduct_delta(ncpoly.expand_cd(p))
+            assert _expand_tensor(ncpoly.coproduct_delta(p)) == direct, w
+    p = P(CD, {"cdc": Fraction(2, 3), "ddc": -5, "ccccc": 1})
+    assert _expand_tensor(ncpoly.coproduct_delta(p)) == ncpoly.coproduct_delta(
+        ncpoly.expand_cd(p)
+    )
+
+
+def test_peeled_rewrite_against_elimination():
+    # independent oracle: p is a cd-polynomial exactly when appending it to
+    # the expanded cd-words does not raise the rank
+    rng = random.Random(7)
+    for convention in ("Psi", "Upsilon"):
+        for n in range(0, 8):
+            basis = [ncpoly.expand_cd_word(w, convention) for w in ncpoly.cd_words(n)]
+            columns = [q.terms for q in basis]
+            rank = ncpoly.matrix_rank(columns)
+            words = ncpoly.ab_words(n)
+            for _ in range(3):
+                combo = P(AB, {})
+                for q in basis:
+                    r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    combo = combo + q.scaled(r)
+                bump = P(AB, {rng.choice(words): rng.choice([1, -1, Fraction(1, 2)])})
+                for p in (combo, combo + bump):
+                    expressible = ncpoly.matrix_rank(columns + [p.terms]) == rank
+                    try:
+                        q = ncpoly.rewrite_ab_to_cd(p, convention)
+                    except NotExpressible:
+                        assert not expressible, (convention, p)
+                        continue
+                    assert expressible, (convention, p)
+                    assert ncpoly.expand_cd(q, convention) == p
+
+
+def test_peeled_rewrite_refuses_low_degrees():
+    for convention in ("Psi", "Upsilon"):
+        assert ncpoly.rewrite_ab_to_cd(P(AB, {"": Fraction(3, 2)}), convention) == P(
+            CD, {"": Fraction(3, 2)}
+        )
+        assert ncpoly.rewrite_ab_to_cd(P(AB, {}), convention) == P(CD, {})
+        for p in (P(AB, {"a": 1}), P(AB, {"b": 1}), P(AB, {"a": 1, "b": -1})):
+            with pytest.raises(NotExpressible):
+                ncpoly.rewrite_ab_to_cd(p, convention)
+        with pytest.raises(NotExpressible):
+            ncpoly.rewrite_ab_to_cd(P(AB, {"ab": 1}), convention)
+
+
+def test_coefficients_are_int_while_integral():
+    p = P(AB, {"a": Fraction(4, 2), "b": Fraction(1, 2), "ab": 3})
+    assert type(p.coefficient("a")) is int and p.coefficient("a") == 2
+    assert p.coefficient("b") == Fraction(1, 2)
+    assert type(p.coefficient("ab")) is int
+    q = P(AB, {"a": 2, "b": 3}) * P(AB, {"a": 1, "b": -1})
+    assert all(type(c) is int for c in q.terms.values())
+    total = P(CE, {"cc": Fraction(1, 2), "ee": Fraction(1, 2)}).coefficient_total()
+    assert type(total) is int and total == 1

@@ -17,7 +17,6 @@ from posetops.posets import (
     Poset,
     boolean_lattice,
     bottom_to_top_chains,
-    build_graded,
     chain_poset,
     count_chains_with_support,
     crosspolytope_lattice,
@@ -100,8 +99,8 @@ def test_graded_rejects_rank_skip():
         GradedPoset(labels, covers)
 
 
-def test_build_graded_accepts_diamond():
-    P = build_graded(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+def test_graded_poset_accepts_diamond():
+    P = GradedPoset(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     assert P.bottom == "0"
     assert P.top == "1"
     assert P.top_rank == 2
@@ -398,9 +397,9 @@ def test_bottom_to_top_chains_respects_cap():
 
 def test_subposet_keeps_induced_order():
     B2 = boolean_lattice(2)
-    sub = B2.subposet(["{}", "{1}", "{1,2}"])
+    sub = induced_subposet(B2, ["{}", "{1}", "{1,2}"])
     assert sub.cover_pairs() == sorted([("{}", "{1}"), ("{1}", "{1,2}")])
-    skip = B2.subposet(["{}", "{1,2}"])
+    skip = induced_subposet(B2, ["{}", "{1,2}"])
     assert skip.cover_pairs() == [("{}", "{1,2}")]
 
 
