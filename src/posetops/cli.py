@@ -141,48 +141,58 @@ def _cmd_poset_gen(args) -> int:
     return 0
 
 
-def _cmd_poset_intervals(args) -> int:
-    _emit(poset_to_dict(interval_poset(_load_poset(args.in_path))), args.out)
-    return 0
+# The dispatch tables below call through this module's names at call time,
+# so a tracer that rebinds those names sees every call.
+
+# action -> (help, loader of each input file, result from the loaded posets);
+# the actions taking two posets read --in and --in2.
+_POSET_FILE_ACTIONS = {
+    "intervals": (
+        "poset of nonempty intervals",
+        _load_poset,
+        lambda P: poset_to_dict(interval_poset(P)),
+    ),
+    "graded-intervals": (
+        "interval poset with an empty bottom adjoined",
+        _load_graded_poset,
+        lambda P: poset_to_dict(graded_interval_poset(P)),
+    ),
+    "second-kind": (
+        "one interval poset member per element",
+        _load_graded_poset,
+        lambda P: {
+            "members": [
+                {"generator": x, "poset": poset_to_dict(member)}
+                for x, member in second_kind_transform(P)
+            ]
+        },
+    ),
+    "product": (
+        "direct product",
+        _load_poset,
+        lambda A, B: poset_to_dict(direct_product(A, B)),
+    ),
+    "diamond": (
+        "product with bottoms fused into a new bottom",
+        _load_graded_poset,
+        lambda A, B: poset_to_dict(diamond_product(A, B)),
+    ),
+    "dual": ("reverse the order", _load_poset, lambda P: poset_to_dict(P.dual())),
+    "eulerian": (
+        "check the even/odd interval balance",
+        _load_graded_poset,
+        lambda P: {"eulerian": is_eulerian(P)},
+    ),
+}
+_TWO_POSET_ACTIONS = ("product", "diamond")
 
 
-def _cmd_poset_graded_intervals(args) -> int:
-    P = _load_graded_poset(args.in_path)
-    _emit(poset_to_dict(graded_interval_poset(P)), args.out)
-    return 0
-
-
-def _cmd_poset_second_kind(args) -> int:
-    P = _load_graded_poset(args.in_path)
-    members = [
-        {"generator": x, "poset": poset_to_dict(member)}
-        for x, member in second_kind_transform(P)
-    ]
-    _emit({"members": members}, args.out)
-    return 0
-
-
-def _cmd_poset_product(args) -> int:
-    A = _load_poset(args.in_path)
-    B = _load_poset(args.in2_path)
-    _emit(poset_to_dict(direct_product(A, B)), args.out)
-    return 0
-
-
-def _cmd_poset_diamond(args) -> int:
-    A = _load_graded_poset(args.in_path)
-    B = _load_graded_poset(args.in2_path)
-    _emit(poset_to_dict(diamond_product(A, B)), args.out)
-    return 0
-
-
-def _cmd_poset_dual(args) -> int:
-    _emit(poset_to_dict(_load_poset(args.in_path).dual()), args.out)
-    return 0
-
-
-def _cmd_poset_eulerian(args) -> int:
-    _emit({"eulerian": is_eulerian(_load_graded_poset(args.in_path))}, args.out)
+def _cmd_poset_file(args) -> int:
+    _, loader, result = _POSET_FILE_ACTIONS[args.action]
+    paths = [args.in_path]
+    if args.action in _TWO_POSET_ACTIONS:
+        paths.append(args.in2_path)
+    _emit(result(*[loader(path) for path in paths]), args.out)
     return 0
 
 
@@ -196,48 +206,59 @@ def _cmd_poset_chains(args) -> int:
 # -- index subcommands -----------------------------------------------------------
 
 
-_INDEX_FUNCTIONS = {
-    "flag": lambda P: flag_to_dict(flag_f_vector(P)),
-    "upsilon": lambda P: poly_to_dict(upsilon(P)),
-    "ab": lambda P: poly_to_dict(ab_index(P)),
-    "cd": lambda P: poly_to_dict(cd_index(P)),
-    "ce": lambda P: poly_to_dict(ce_index(P)),
+# which -> (help, JSON result from the poset)
+_INDEX = {
+    "flag": (
+        "chain counts by visited rank set",
+        lambda P: flag_to_dict(flag_f_vector(P)),
+    ),
+    "upsilon": ("flag-word polynomial", lambda P: poly_to_dict(upsilon(P))),
+    "ab": ("ab-index", lambda P: poly_to_dict(ab_index(P))),
+    "cd": ("cd-index", lambda P: poly_to_dict(cd_index(P))),
+    "ce": ("ce-index", lambda P: poly_to_dict(ce_index(P))),
 }
 
 
 def _cmd_index(args) -> int:
     P = _poset_argument(args)
-    _emit(_INDEX_FUNCTIONS[args.which](P), args.out)
+    _emit(_INDEX[args.which][1](P), args.out)
     return 0
 
 
 # -- op subcommands --------------------------------------------------------------
 
 
-def _op_mixing(p: NCPoly, q: NCPoly) -> NCPoly:
-    if p.alphabet == AB and q.alphabet == AB:
-        return mixing_ab(p, q)
-    if p.alphabet == CD and q.alphabet == CD:
-        return mixing_cd(p, q)
-    raise PosetOpsError("mixing needs two ab- or two cd-polynomials")
+# which -> (help, operator on one polynomial)
+_UNARY_OPS = {
+    "iota": (
+        "interval transform of flag-word polynomials",
+        lambda p: upsilon_interval_transform(p),
+    ),
+    "Iab": ("interval transform of ab-indices", lambda p: ab_interval_transform(p)),
+    "Icd": ("interval transform of cd-indices", lambda p: cd_interval_transform(p)),
+    "IIab": (
+        "second-kind transform of ab-indices",
+        lambda p: second_kind_ab_transform(p),
+    ),
+    "pyr": ("mix with a single point", lambda p: pyramid(p)),
+    "lift": ("multiply by a-b on both sides and add", lambda p: lift(p)),
+}
 
 
 def _cmd_op_unary(args) -> int:
-    operators = {
-        "iota": upsilon_interval_transform,
-        "Iab": ab_interval_transform,
-        "Icd": cd_interval_transform,
-        "IIab": second_kind_ab_transform,
-        "pyr": pyramid,
-        "lift": lift,
-    }
-    result = operators[args.which](_load_poly(args.in_path))
+    result = _UNARY_OPS[args.which][1](_load_poly(args.in_path))
     _emit(poly_to_dict(result), args.out)
     return 0
 
 
 def _cmd_op_mixing(args) -> int:
-    result = _op_mixing(_load_poly(args.in_path), _load_poly(args.in2_path))
+    p, q = _load_poly(args.in_path), _load_poly(args.in2_path)
+    if p.alphabet == AB and q.alphabet == AB:
+        result = mixing_ab(p, q)
+    elif p.alphabet == CD and q.alphabet == CD:
+        result = mixing_cd(p, q)
+    else:
+        raise PosetOpsError("mixing needs two ab- or two cd-polynomials")
     _emit(poly_to_dict(result), args.out)
     return 0
 
@@ -296,52 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(gen)
     gen.set_defaults(handler=_cmd_poset_gen)
 
-    intervals = poset_actions.add_parser(
-        "intervals", help="poset of nonempty intervals"
-    )
-    _add_in(intervals)
-    _add_out(intervals)
-    intervals.set_defaults(handler=_cmd_poset_intervals)
-
-    graded_intervals = poset_actions.add_parser(
-        "graded-intervals", help="interval poset with an empty bottom adjoined"
-    )
-    _add_in(graded_intervals)
-    _add_out(graded_intervals)
-    graded_intervals.set_defaults(handler=_cmd_poset_graded_intervals)
-
-    second_kind = poset_actions.add_parser(
-        "second-kind", help="one interval poset member per element"
-    )
-    _add_in(second_kind)
-    _add_out(second_kind)
-    second_kind.set_defaults(handler=_cmd_poset_second_kind)
-
-    product = poset_actions.add_parser("product", help="direct product")
-    _add_in(product)
-    _add_in2(product)
-    _add_out(product)
-    product.set_defaults(handler=_cmd_poset_product)
-
-    diamond = poset_actions.add_parser(
-        "diamond", help="product with bottoms fused into a new bottom"
-    )
-    _add_in(diamond)
-    _add_in2(diamond)
-    _add_out(diamond)
-    diamond.set_defaults(handler=_cmd_poset_diamond)
-
-    dual = poset_actions.add_parser("dual", help="reverse the order")
-    _add_in(dual)
-    _add_out(dual)
-    dual.set_defaults(handler=_cmd_poset_dual)
-
-    eulerian = poset_actions.add_parser(
-        "eulerian", help="check the even/odd interval balance"
-    )
-    _add_in(eulerian)
-    _add_out(eulerian)
-    eulerian.set_defaults(handler=_cmd_poset_eulerian)
+    for action, (text, _, _) in _POSET_FILE_ACTIONS.items():
+        sub = poset_actions.add_parser(action, help=text)
+        _add_in(sub)
+        if action in _TWO_POSET_ACTIONS:
+            _add_in2(sub)
+        _add_out(sub)
+        sub.set_defaults(handler=_cmd_poset_file)
 
     chains = poset_actions.add_parser(
         "chains", help="count nested-interval chains over a support chain"
@@ -356,13 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     index = commands.add_parser("index", help="flag counts and index polynomials")
     index_actions = index.add_subparsers(dest="which", required=True)
-    for which, text in (
-        ("flag", "chain counts by visited rank set"),
-        ("upsilon", "flag-word polynomial"),
-        ("ab", "ab-index"),
-        ("cd", "cd-index"),
-        ("ce", "ce-index"),
-    ):
+    for which, (text, _) in _INDEX.items():
         sub = index_actions.add_parser(which, help=text)
         _add_in(sub, required=False)
         _add_kind_n(sub)
@@ -371,14 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     op = commands.add_parser("op", help="transforms on index polynomials")
     op_actions = op.add_subparsers(dest="which", required=True)
-    for which, text in (
-        ("iota", "interval transform of flag-word polynomials"),
-        ("Iab", "interval transform of ab-indices"),
-        ("Icd", "interval transform of cd-indices"),
-        ("IIab", "second-kind transform of ab-indices"),
-        ("pyr", "mix with a single point"),
-        ("lift", "multiply by a-b on both sides and add"),
-    ):
+    for which, (text, _) in _UNARY_OPS.items():
         sub = op_actions.add_parser(which, help=text)
         _add_in(sub)
         _add_out(sub)

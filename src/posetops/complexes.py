@@ -7,9 +7,11 @@ constructions from exhausting memory.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     FaceNotInComplex,
+    InvalidSize,
     NotAnEdgePermutation,
     PosetOpsError,
     TooLarge,
@@ -100,20 +102,25 @@ def compose(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
     return out
 
 
-_CHEB_T = [ONE, X]
-_CHEB_U = [ONE, 2 * X]
-
-
 def chebyshev_T(n: int) -> UnivariatePoly:
-    while len(_CHEB_T) <= n:
-        _CHEB_T.append(2 * X * _CHEB_T[-1] - _CHEB_T[-2])
-    return _CHEB_T[n]
+    return _chebyshev(n, 1)
 
 
 def chebyshev_U(n: int) -> UnivariatePoly:
-    while len(_CHEB_U) <= n:
-        _CHEB_U.append(2 * X * _CHEB_U[-1] - _CHEB_U[-2])
-    return _CHEB_U[n]
+    return _chebyshev(n, 2)
+
+
+@cache
+def _chebyshev(n: int, first: int) -> UnivariatePoly:
+    """P_n of P_0 = 1, P_1 = first·x, P_k = 2x·P_(k-1) − P_(k-2): T_n for
+    first = 1, U_n for first = 2.  A loop, not a recursion, so no degree
+    meets the recursion limit; values are immutable, so callers share them."""
+    if n < 0:
+        raise InvalidSize(f"need n >= 0, got {n}")
+    previous, current = ONE, first * X
+    for _ in range(n):
+        previous, current = current, 2 * X * current - previous
+    return previous
 
 
 def cheb_transform_T(p: UnivariatePoly) -> UnivariatePoly:
@@ -329,28 +336,14 @@ def tchebyshev_triangulation(K: SimplicialComplex, edge_order=None) -> Simplicia
     return out
 
 
-class ComplexMultiset:
-    """A list of complexes, one per generating vertex."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members):
-        self.members = list(members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def second_kind_links(TK: SimplicialComplex, original_vertices) -> ComplexMultiset:
+def second_kind_links(TK: SimplicialComplex, original_vertices) -> list:
+    """The links of the given vertices, one complex per vertex, in order."""
     members = []
     for v in original_vertices:
         if v not in TK.vertices:
             raise UnknownVertex(f"{v!r} is not a vertex")
         members.append(link(TK, {v}))
-    return ComplexMultiset(members)
+    return members
 
 
 # -- order complexes -------------------------------------------------------------

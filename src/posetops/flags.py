@@ -3,36 +3,50 @@ from them.
 
 The flag f-vector counts chains through the open interior by the set of
 ranks they visit.  Chains are enumerated depth first over the order
-relation, accumulating one counter per rank-set bitmask.
+relation, accumulating one counter per rank-set bitmask (bit r - 1 stands
+for rank r); rank-set tuples appear only where outside input or JSON
+meets the vector.
 """
+
+from itertools import combinations
 
 from .errors import PosetOpsError
 from .ncpoly import AB, NCPoly, cd_ce_convert, rewrite_ab_to_cd, substitute
 from .posets import GradedPoset
 
 
+def _rank_mask(n: int, S) -> int:
+    """The bitmask of a rank set given from outside, checked against rank n."""
+    mask = 0
+    for r in S:
+        if not 1 <= r <= n - 1 or mask >> (r - 1) & 1:
+            raise PosetOpsError(f"rank set {S} needs distinct ranks inside 1..{n - 1}")
+        mask |= 1 << (r - 1)
+    return mask
+
+
 class FlagFVector:
-    """Chain counts of a graded poset, keyed by visited rank sets."""
+    """Chain counts of a graded poset of rank n, keyed by rank mask; a mask
+    that no chain visits is absent."""
 
     __slots__ = ("n", "counts")
 
-    def __init__(self, n: int, counts):
+    def __init__(self, n: int, counts: dict):
         self.n = n
-        self.counts = {}
-        for S, value in dict(counts).items():
-            key = tuple(sorted(S))
-            for r in key:
-                if not 1 <= r <= n - 1:
-                    raise PosetOpsError(f"rank {r} is not strictly inside 0..{n}")
-            if len(set(key)) != len(key):
-                raise PosetOpsError(f"rank set {S} repeats a rank")
-            self.counts[key] = value
+        self.counts = counts
 
     def count(self, S) -> int:
-        return self.counts.get(tuple(sorted(S)), 0)
+        return self.counts.get(_rank_mask(self.n, S), 0)
 
     def sorted_items(self):
-        return sorted(self.counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        """(rank tuple, count) for every subset of 1..n-1, zeros included,
+        by size and then lexicographically."""
+        ranks = range(1, self.n)
+        return [
+            (S, self.counts.get(sum(1 << (r - 1) for r in S), 0))
+            for k in range(len(ranks) + 1)
+            for S in combinations(ranks, k)
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, FlagFVector):
@@ -60,17 +74,7 @@ def flag_f_vector(P: GradedPoset) -> FlagFVector:
 
     for i in interior:
         visit(i, 0)
-
-    subsets = [()]
-    for r in range(1, n):
-        subsets += [S + (r,) for S in subsets]
-    table = {}
-    for S in subsets:
-        mask = 0
-        for r in S:
-            mask |= 1 << (r - 1)
-        table[S] = counts.get(mask, 0)
-    return FlagFVector(n, table)
+    return FlagFVector(n, counts)
 
 
 def upsilon(P: GradedPoset) -> NCPoly:
@@ -82,8 +86,8 @@ def upsilon(P: GradedPoset) -> NCPoly:
     return NCPoly(
         AB,
         {
-            "".join("b" if r in S else "a" for r in range(1, fv.n)): count
-            for S, count in fv.counts.items()
+            "".join("b" if mask >> r & 1 else "a" for r in range(fv.n - 1)): count
+            for mask, count in fv.counts.items()
         },
     )
 
@@ -115,4 +119,6 @@ def flag_to_dict(fv: FlagFVector) -> dict:
 
 
 def flag_from_dict(data: dict) -> FlagFVector:
-    return FlagFVector(data["n"], {tuple(e["S"]): e["f"] for e in data["counts"]})
+    n = data["n"]
+    counts = {_rank_mask(n, e["S"]): e["f"] for e in data["counts"]}
+    return FlagFVector(n, {mask: f for mask, f in counts.items() if f})

@@ -16,6 +16,7 @@ the multiplicative unit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     AlphabetMismatch,
@@ -298,18 +299,22 @@ def ab_words(n: int) -> list[str]:
     return sorted(words)
 
 
-_CD_WORDS: dict[int, list[str]] = {0: [""], 1: ["c"]}
-
-
 def cd_words(n: int) -> list[str]:
-    """All cd-words of degree n (c has degree 1, d degree 2)."""
+    """All cd-words of degree n (c has degree 1, d degree 2), sorted."""
+    return list(_cd_words(n))
+
+
+@cache
+def _cd_words(n: int) -> tuple[str, ...]:
     if n < 0:
-        return []
-    if n not in _CD_WORDS:
-        _CD_WORDS[n] = sorted(
-            [w + "c" for w in cd_words(n - 1)] + [w + "d" for w in cd_words(n - 2)]
+        return ()
+    if n == 0:
+        return ("",)
+    return tuple(
+        sorted(
+            [w + "c" for w in _cd_words(n - 1)] + [w + "d" for w in _cd_words(n - 2)]
         )
-    return _CD_WORDS[n]
+    )
 
 
 # -- exact linear algebra ----------------------------------------------------
@@ -347,19 +352,17 @@ _UPSILON_IMAGES = {
 }
 _CONVENTIONS = {"Psi": _PSI_IMAGES, "Upsilon": _UPSILON_IMAGES}
 
-_EXPANSION_CACHE: dict[tuple[str, str], NCPoly] = {}
-
 
 def expand_cd_word(word: str, convention: str = "Psi") -> NCPoly:
     """Expansion of one cd-word into the ab alphabet."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    key = (convention, word)
-    cached = _EXPANSION_CACHE.get(key)
-    if cached is None:
-        cached = substitute(NCPoly(CD, {word: 1}), _CONVENTIONS[convention])
-        _EXPANSION_CACHE[key] = cached
-    return cached
+    return NCPoly._wrap(AB, dict(_expand_cd_word(word, convention).terms))
+
+
+@cache
+def _expand_cd_word(word: str, convention: str) -> NCPoly:
+    return substitute(NCPoly(CD, {word: 1}), _CONVENTIONS[convention])
 
 
 def expand_cd(p: NCPoly, convention: str = "Psi") -> NCPoly:
@@ -455,26 +458,22 @@ def cd_ce_convert(p: NCPoly, target: str) -> NCPoly:
 
 # -- coproducts ---------------------------------------------------------------
 
-_CD_COPRODUCT_CACHE: dict[str, dict[tuple[str, str], int]] = {}
-
-
+@cache
 def _cd_coproduct_word(word: str) -> dict[tuple[str, str], int]:
-    cached = _CD_COPRODUCT_CACHE.get(word)
-    if cached is not None:
-        return cached
-    result: dict[tuple[str, str], int] = {}
-    if word:
-        head, last = word[:-1], word[-1]
-        result = {
-            (w1, w2 + last): c for (w1, w2), c in _cd_coproduct_word(head).items()
-        }
-        # the keys above end their right word with `last`; these do not
-        if last == "c":
-            result[head, ""] = 2
-        else:
-            result[head, "c"] = 1
-            result[head + "c", ""] = 1
-    _CD_COPRODUCT_CACHE[word] = result
+    """The cd coproduct of one word, by recursion on its last letter.  The
+    memo hands its dicts to every caller, and none of them writes to one."""
+    if not word:
+        return {}
+    head, last = word[:-1], word[-1]
+    result = {
+        (w1, w2 + last): c for (w1, w2), c in _cd_coproduct_word(head).items()
+    }
+    # the keys above end their right word with `last`; these do not
+    if last == "c":
+        result[head, ""] = 2
+    else:
+        result[head, "c"] = 1
+        result[head + "c", ""] = 1
     return result
 
 

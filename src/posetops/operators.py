@@ -2,11 +2,13 @@
 operator, the pyramid and lift maps, and the Delannoy path model.
 
 Every operator is defined on monomial words by a recursion and extended
-linearly.  Word-level results are memoized because the recursions revisit
-the same words constantly.
+linearly.  Word-level results are memoized with functools.cache on private
+helpers, because the recursions revisit the same words constantly; the
+public functions check their input and stay plain functions.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .errors import DegreeMismatch, InvalidSize, PosetOpsError, TooLarge
@@ -38,34 +40,25 @@ def _ab_coproduct_word(word: str):
 
 # -- the vertex-wise interval transform on flag words ---------------------------
 
-_IOTA_CACHE: dict[str, NCPoly] = {}
-
-
+@cache
 def _iota_word(word: str) -> NCPoly:
     """Raise a flag word of degree m to one of degree m+1 by the recursion
     that peels the outermost pair of b letters."""
-    cached = _IOTA_CACHE.get(word)
-    if cached is not None:
-        return cached
     if "b" not in word:
-        result = _A_PLUS_2B * monomial(AB, word)
-    else:
-        first = word.index("b")
-        last = word.rindex("b")
-        i = first
-        j = len(word) - 1 - last
-        if first == last:
-            symmetric = monomial(AB, word) + monomial(AB, "a" * j + "b" + "a" * i)
-            result = _A_PLUS_2B * symmetric + monomial(AB, "b" + "a" * (i + j + 1))
-        else:
-            middle = word[first + 1 : last]
-            result = (
-                _iota_word(word[: last]) * monomial(AB, "b" + "a" * j)
-                + _iota_word(word[first + 1 :]) * monomial(AB, "b" + "a" * i)
-                + _iota_word(middle) * monomial(AB, "b" + "a" * (i + j + 1))
-            )
-    _IOTA_CACHE[word] = result
-    return result
+        return _A_PLUS_2B * monomial(AB, word)
+    first = word.index("b")
+    last = word.rindex("b")
+    i = first
+    j = len(word) - 1 - last
+    if first == last:
+        symmetric = monomial(AB, word) + monomial(AB, "a" * j + "b" + "a" * i)
+        return _A_PLUS_2B * symmetric + monomial(AB, "b" + "a" * (i + j + 1))
+    middle = word[first + 1 : last]
+    return (
+        _iota_word(word[: last]) * monomial(AB, "b" + "a" * j)
+        + _iota_word(word[first + 1 :]) * monomial(AB, "b" + "a" * i)
+        + _iota_word(middle) * monomial(AB, "b" + "a" * (i + j + 1))
+    )
 
 
 def upsilon_interval_transform(p: NCPoly) -> NCPoly:
@@ -78,20 +71,15 @@ def upsilon_interval_transform(p: NCPoly) -> NCPoly:
 
 # -- mixing operator -------------------------------------------------------------
 
-_QS_CACHE: dict[tuple[tuple, tuple], dict] = {}
-
-
+@cache
 def _quasi_shuffle(alpha: tuple, beta: tuple) -> dict:
     """Quasi-shuffle of two compositions: interleave parts, optionally
-    merging one part from each side."""
+    merging one part from each side.  The memo hands its dicts to every
+    caller, and none of them writes to one."""
     if not alpha:
         return {beta: 1}
     if not beta:
         return {alpha: 1}
-    key = (alpha, beta)
-    cached = _QS_CACHE.get(key)
-    if cached is not None:
-        return cached
     out: dict[tuple, int] = {}
     for head, rest in (
         ((alpha[0],), _quasi_shuffle(alpha[1:], beta)),
@@ -99,7 +87,6 @@ def _quasi_shuffle(alpha: tuple, beta: tuple) -> dict:
         ((alpha[0] + beta[0],), _quasi_shuffle(alpha[1:], beta[1:])),
     ):
         _accumulate(out, ((head + tail, count) for tail, count in rest.items()))
-    _QS_CACHE[key] = out
     return out
 
 
@@ -170,41 +157,33 @@ def mixing_ab(p: NCPoly, q: NCPoly) -> NCPoly:
     )
 
 
-_MIXING_CD_CACHE: dict[tuple[str, str], NCPoly] = {}
-
-
+@cache
 def _mixing_cd_words(u: str, v: str) -> NCPoly:
-    cached = _MIXING_CD_CACHE.get((u, v))
-    if cached is not None:
-        return cached
     if not v:
         if not u:
-            result = monomial(CD, "c")
-        else:
-            result = _mixing_cd_words(v, u)
+            return monomial(CD, "c")
+        return _mixing_cd_words(v, u)
+    head, last = v[:-1], v[-1]
+    head_poly = monomial(CD, head)
+    d = monomial(CD, "d")
+    if last == "c":
+        result = (
+            head_poly * d * monomial(CD, u)
+            + _mixing_cd_words(u, head) * monomial(CD, "c")
+        )
+        for (u1, u2), coeff in _cd_coproduct_word(u).items():
+            result = result + (
+                _mixing_cd_words(u1, head) * d * monomial(CD, u2)
+            ).scaled(coeff)
     else:
-        head, last = v[:-1], v[-1]
-        head_poly = monomial(CD, head)
-        d = monomial(CD, "d")
-        if last == "c":
-            result = (
-                head_poly * d * monomial(CD, u)
-                + _mixing_cd_words(u, head) * monomial(CD, "c")
-            )
-            for (u1, u2), coeff in _cd_coproduct_word(u).items():
-                result = result + (
-                    _mixing_cd_words(u1, head) * d * monomial(CD, u2)
-                ).scaled(coeff)
-        else:
-            result = (
-                head_poly * d * _mixing_cd_words("", u)
-                + _mixing_cd_words(u, head) * d
-            )
-            for (u1, u2), coeff in _cd_coproduct_word(u).items():
-                result = result + (
-                    _mixing_cd_words(u1, head) * d * _mixing_cd_words("", u2)
-                ).scaled(coeff)
-    _MIXING_CD_CACHE[(u, v)] = result
+        result = (
+            head_poly * d * _mixing_cd_words("", u)
+            + _mixing_cd_words(u, head) * d
+        )
+        for (u1, u2), coeff in _cd_coproduct_word(u).items():
+            result = result + (
+                _mixing_cd_words(u1, head) * d * _mixing_cd_words("", u2)
+            ).scaled(coeff)
     return result
 
 
@@ -233,24 +212,17 @@ def lift(p: NCPoly) -> NCPoly:
 
 # -- interval transforms on the index level --------------------------------------
 
-_IAB_CACHE: dict[str, NCPoly] = {}
-
-
+@cache
 def _ab_interval_word(word: str) -> NCPoly:
-    cached = _IAB_CACHE.get(word)
-    if cached is not None:
-        return cached
     if not word:
-        result = _A_PLUS_B
-    else:
-        u, last = word[:-1], word[-1]
-        u_star = monomial(AB, u[::-1])
-        inner = monomial(AB, "ab" if last == "a" else "ba")
-        result = _ab_interval_word(u) * monomial(AB, last) + _AB_PLUS_BA * u_star
-        for (u1, u2), coeff in _ab_coproduct_word(u).items():
-            piece = _ab_interval_word(u2) * inner * monomial(AB, u1[::-1])
-            result = result + piece.scaled(coeff)
-    _IAB_CACHE[word] = result
+        return _A_PLUS_B
+    u, last = word[:-1], word[-1]
+    u_star = monomial(AB, u[::-1])
+    inner = monomial(AB, "ab" if last == "a" else "ba")
+    result = _ab_interval_word(u) * monomial(AB, last) + _AB_PLUS_BA * u_star
+    for (u1, u2), coeff in _ab_coproduct_word(u).items():
+        piece = _ab_interval_word(u2) * inner * monomial(AB, u1[::-1])
+        result = result + piece.scaled(coeff)
     return result
 
 
@@ -261,37 +233,30 @@ def ab_interval_transform(p: NCPoly) -> NCPoly:
     return _apply_wordwise(p, _ab_interval_word, AB)
 
 
-_ICD_CACHE: dict[str, NCPoly] = {}
-
-
+@cache
 def _cd_interval_word(word: str) -> NCPoly:
-    cached = _ICD_CACHE.get(word)
-    if cached is not None:
-        return cached
     if not word:
-        result = monomial(CD, "c")
-    else:
-        u, last = word[:-1], word[-1]
-        u_star = monomial(CD, u[::-1])
-        d = monomial(CD, "d")
-        if last == "c":
-            result = _cd_interval_word(u) * monomial(CD, "c") + 2 * d * u_star
-            for (u1, u2), coeff in _cd_coproduct_word(u).items():
-                piece = _cd_interval_word(u2) * d * monomial(CD, u1[::-1])
-                result = result + piece.scaled(coeff)
-        else:
-            result = (
-                _cd_interval_word(u) * d
-                + _DC_PLUS_CD * u_star
-                + d * u_star * monomial(CD, "c")
-            )
-            for (u1, u2), coeff in _cd_coproduct_word(u).items():
-                u1_star = monomial(CD, u1[::-1])
-                u2_star = monomial(CD, u2[::-1])
-                piece = _cd_interval_word(u2) * d * mixing_cd(unit(CD), u1_star)
-                piece = piece + d * u2_star * d * u1_star
-                result = result + piece.scaled(coeff)
-    _ICD_CACHE[word] = result
+        return monomial(CD, "c")
+    u, last = word[:-1], word[-1]
+    u_star = monomial(CD, u[::-1])
+    d = monomial(CD, "d")
+    if last == "c":
+        result = _cd_interval_word(u) * monomial(CD, "c") + 2 * d * u_star
+        for (u1, u2), coeff in _cd_coproduct_word(u).items():
+            piece = _cd_interval_word(u2) * d * monomial(CD, u1[::-1])
+            result = result + piece.scaled(coeff)
+        return result
+    result = (
+        _cd_interval_word(u) * d
+        + _DC_PLUS_CD * u_star
+        + d * u_star * monomial(CD, "c")
+    )
+    for (u1, u2), coeff in _cd_coproduct_word(u).items():
+        u1_star = monomial(CD, u1[::-1])
+        u2_star = monomial(CD, u2[::-1])
+        piece = _cd_interval_word(u2) * d * mixing_cd(unit(CD), u1_star)
+        piece = piece + d * u2_star * d * u1_star
+        result = result + piece.scaled(coeff)
     return result
 
 
@@ -344,8 +309,6 @@ def second_kind_cd_transform(p: NCPoly) -> NCPoly:
 
 # -- Delannoy path model ---------------------------------------------------------
 
-_DELANNOY_CACHE: dict[tuple[int, int], NCPoly] = {}
-
 _C = NCPoly(CD, {"c": 1})
 _TWO_D_MINUS_CC = NCPoly(CD, {"d": 2, "cc": -1})
 
@@ -369,9 +332,11 @@ def delannoy_mixing(i: int, j: int) -> NCPoly:
         raise InvalidSize("path endpoints need i, j >= 0")
     if i + j > DELANNOY_MAX_STEPS:
         raise TooLarge(f"path endpoints need i + j <= {DELANNOY_MAX_STEPS}")
-    cached = _DELANNOY_CACHE.get((i, j))
-    if cached is not None:
-        return cached
+    return NCPoly._wrap(CD, dict(_delannoy_paths(i, j).terms))
+
+
+@cache
+def _delannoy_paths(i: int, j: int) -> NCPoly:
     zero = NCPoly(CD)
     west = [zero] * (j + 2)  # W(x - 1, y) at index y + 1
     for x in range(-1, i + 1):
@@ -385,9 +350,7 @@ def delannoy_mixing(i: int, j: int) -> NCPoly:
                 total = total + unit(CD)
             here.append(total)
         west = here
-    result = west[j + 1].scaled(Fraction(1, 2))
-    _DELANNOY_CACHE[(i, j)] = result
-    return result
+    return west[j + 1].scaled(Fraction(1, 2))
 
 
 def delannoy_ce_coefficient(i: int, j: int, r: int):
@@ -453,10 +416,6 @@ def ce_word_count(n: int, r: int) -> int:
 # -- eigenvector experiments -------------------------------------------------------
 
 
-def _poly_columns(images) -> list:
-    return [dict(image.terms) for image in images]
-
-
 def eigen_experiments(max_n: int) -> list:
     """Exact linear algebra around the second-kind transform, degree by
     degree: kernel dimension, whether the reversal-antisymmetric space
@@ -472,9 +431,7 @@ def eigen_experiments(max_n: int) -> list:
     results = []
     for n in range(1, max_n + 1):
         words = ab_words(n)
-        columns = _poly_columns(
-            second_kind_ab_transform(monomial(AB, w)) for w in words
-        )
+        columns = [second_kind_ab_transform(monomial(AB, w)).terms for w in words]
         kernel_dim = len(words) - matrix_rank(columns)
         asym = asym_basis(n)
         asym_dim = len(asym)
@@ -498,9 +455,9 @@ def eigen_experiments(max_n: int) -> list:
             expected = vector.scaled(2 ** (pyr_count + 1))
             if second_kind_ab_transform(vector) == expected:
                 eigen_compositions.append(vector)
-        composition_rank = matrix_rank(_poly_columns(compositions))
+        composition_rank = matrix_rank([v.terms for v in compositions])
         if eigen_compositions:
-            eigen_rank = matrix_rank(_poly_columns(eigen_compositions))
+            eigen_rank = matrix_rank([v.terms for v in eigen_compositions])
         else:
             eigen_rank = 0
         all_symmetric = all(v.star() == v for v in compositions)

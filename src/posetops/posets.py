@@ -5,6 +5,8 @@ per element (up[i] holds every j with element i below-or-equal element j),
 so comparability tests and interval extraction are cheap afterwards.
 """
 
+from functools import cache
+
 from .errors import (
     CycleDetected,
     EndpointsNotExtreme,
@@ -396,10 +398,10 @@ def _interval_pairs(P: Poset):
     return [(i, j) for i in range(n) for j in range(n) if P.up[i] >> j & 1]
 
 
-def _interval_cover_pairs(P: Poset, pairs, member=None):
+def _interval_cover_pairs(P: Poset, pairs):
     """Covers between intervals: shift one endpoint by one cover step."""
     covers = []
-    present = set(pairs) if member is None else member
+    present = set(pairs)
     for i, j in pairs:
         lo = P.labels[i]
         hi = P.labels[j]
@@ -447,29 +449,12 @@ def interval_subposet(P: GradedPoset, lower: str, upper: str) -> GradedPoset:
     return GradedPoset(labels, covers)
 
 
-class PosetMultiset:
-    """Graded posets listed with the element of P each one came from."""
-
-    __slots__ = ("members", "generators")
-
-    def __init__(self, members, generators):
-        self.members = list(members)
-        self.generators = list(generators)
-        if len(self.members) != len(self.generators):
-            raise PosetOpsError("one generator label per member is required")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(zip(self.generators, self.members))
-
-
-def second_kind_transform(P: GradedPoset) -> PosetMultiset:
+def second_kind_transform(P: GradedPoset) -> list:
     """For each x, the intervals containing x, ordered by inclusion.
 
     Member x is the part of the interval poset weakly above [x,x]; its
-    bottom is [x,x] and its top is the whole ground set.
+    bottom is [x,x] and its top is the whole ground set.  Returns the
+    (x, member) pairs in the label order of P.
     """
     members = []
     for x in P.labels:
@@ -481,9 +466,9 @@ def second_kind_transform(P: GradedPoset) -> PosetMultiset:
             if P.up[i] >> xi & 1 and P.up[xi] >> j & 1
         ]
         labels = [interval_label(P.labels[i], P.labels[j]) for i, j in pairs]
-        covers = _interval_cover_pairs(P, pairs, member=set(pairs))
-        members.append(GradedPoset(labels, covers))
-    return PosetMultiset(members, list(P.labels))
+        covers = _interval_cover_pairs(P, pairs)
+        members.append((x, GradedPoset(labels, covers)))
+    return members
 
 
 def second_kind_member_product(P: GradedPoset, x: str) -> GradedPoset:
@@ -516,37 +501,26 @@ def is_eulerian(P: GradedPoset) -> bool:
     return True
 
 
-_SUPPORT_CHAIN_COUNTS: dict[int, int] = {}
-
-
+@cache
 def _support_chain_count(m: int) -> int:
     """Chains of nested intervals over a fixed (m+1)-chain that use every
     chain element as an endpoint, counted by innermost interval and
     outward extension."""
-    cached = _SUPPORT_CHAIN_COUNTS.get(m)
-    if cached is not None:
-        return cached
     full = (1 << (m + 1)) - 1
-    memo: dict[tuple[int, int, int], int] = {}
 
+    @cache
     def extend(i: int, j: int, needed: int) -> int:
-        key = (i, j, needed)
-        found = memo.get(key)
-        if found is not None:
-            return found
         total = 1 if needed == 0 else 0
         for k in range(i, -1, -1):
             for l in range(j, m + 1):
                 if (k, l) != (i, j):
                     total += extend(k, l, needed & ~(1 << k) & ~(1 << l))
-        memo[key] = total
         return total
 
     count = 0
     for i in range(m + 1):
         for j in range(i, m + 1):
             count += extend(i, j, full & ~(1 << i) & ~(1 << j))
-    _SUPPORT_CHAIN_COUNTS[m] = count
     return count
 
 
@@ -729,14 +703,24 @@ def poset_to_dict(P: Poset) -> dict:
 
 def poset_from_dict(data: dict) -> Poset:
     elements = data["elements"]
+    if not isinstance(elements, list):
+        raise PosetOpsError(f"elements must be a list, not {type(elements).__name__}")
     for label in elements:
         if not isinstance(label, str):
             raise PosetOpsError(f"element label {label!r} is not a string")
-    covers = [tuple(pair) for pair in data["covers"]]
+    covers = data["covers"]
+    if not isinstance(covers, list):
+        raise PosetOpsError(f"covers must be a list, not {type(covers).__name__}")
+    for pair in covers:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise PosetOpsError(f"cover {pair!r} is not a two-element list")
+    covers = [tuple(pair) for pair in covers]
     if data.get("rank") is None:
         return Poset(elements, covers)
     P = GradedPoset(elements, covers)
     stored = data["rank"]
+    if not isinstance(stored, dict):
+        raise NotGraded(f"rank must be an object or null, not {type(stored).__name__}")
     for label in P.labels:
         if stored.get(label) != P.rank_of(label):
             raise NotGraded(

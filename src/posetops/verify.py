@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 from .complexes import (
     F_polynomial,
@@ -131,23 +132,21 @@ def random_bounded_subposets(seed: int, count: int = 20) -> list:
     return out
 
 
-_CORPUS_CACHE: dict[int, tuple] = {}
-
-
 def corpus(seed: int = 0) -> list:
     """Named corpus: families, duals, capped products, random subposets."""
-    cached = _CORPUS_CACHE.get(seed)
-    if cached is None:
-        named = base_families()
-        out = list(named)
-        out += [(f"dual({name})", P.dual()) for name, P in named]
-        for (na, A), (nb, B) in itertools.combinations_with_replacement(named, 2):
-            if len(A.labels) * len(B.labels) <= SIZE_CAP:
-                out.append((f"{na} x {nb}", direct_product(A, B)))
-        out += random_bounded_subposets(seed)
-        cached = tuple(out)
-        _CORPUS_CACHE[seed] = cached
-    return list(cached)
+    return list(_corpus(seed))
+
+
+@cache
+def _corpus(seed: int) -> tuple:
+    named = base_families()
+    out = list(named)
+    out += [(f"dual({name})", P.dual()) for name, P in named]
+    for (na, A), (nb, B) in itertools.combinations_with_replacement(named, 2):
+        if len(A.labels) * len(B.labels) <= SIZE_CAP:
+            out.append((f"{na} x {nb}", direct_product(A, B)))
+    out += random_bounded_subposets(seed)
+    return tuple(out)
 
 
 def interval_ready_corpus(seed: int = 0) -> list:
@@ -431,9 +430,9 @@ def product_law_cases(seed: int = 0) -> list:
                 ),
             )
         )
-        members_prod = dict(iter(second_kind_transform(prod)))
-        members_a = dict(iter(second_kind_transform(A)))
-        members_b = dict(iter(second_kind_transform(B)))
+        members_prod = dict(second_kind_transform(prod))
+        members_a = dict(second_kind_transform(A))
+        members_b = dict(second_kind_transform(B))
         mismatched = []
         for p in A.labels:
             for q in B.labels:
@@ -799,8 +798,6 @@ def interval_eulerian_cases(seed: int = 0) -> list:
 # -- eigenvectors ----------------------------------------------------------------------
 
 
-_EIGEN_REPORTS: list | None = None
-
 # Kernel dimensions of the second-kind transform and dimensions of the
 # reversal-antisymmetric space at degrees 1..6; the kernel is strictly
 # larger from degree 5 on.
@@ -808,11 +805,9 @@ KERNEL_DIMS = (0, 1, 2, 6, 13, 30)
 ASYM_DIMS = (0, 1, 2, 6, 12, 28)
 
 
-def _eigen_reports() -> list:
-    global _EIGEN_REPORTS
-    if _EIGEN_REPORTS is None:
-        _EIGEN_REPORTS = eigen_experiments(6)
-    return _EIGEN_REPORTS
+@cache
+def _eigen_reports() -> tuple:
+    return tuple(eigen_experiments(6))
 
 
 def eigen_cases(seed: int = 0) -> list:
@@ -901,62 +896,23 @@ def eigen_cases(seed: int = 0) -> list:
 # -- suites ------------------------------------------------------------------------
 
 
-def _suite_iota(seed: int) -> list:
-    return iota_example_cases() + interval_upsilon_corpus_cases(seed)
-
-
-def _suite_jojic_ab(seed: int) -> list:
-    return interval_ab_corpus_cases(seed)
-
-
-def _suite_jojic_cd(seed: int) -> list:
-    return interval_cd_cases(seed)
-
-
-def _suite_ii(seed: int) -> list:
-    return second_kind_corpus_cases(seed)
-
-
-def _suite_mixing(seed: int) -> list:
-    return mixing_word_cases() + mixing_poset_cases(seed) + product_law_cases(seed)
-
-
-def _suite_delannoy(seed: int) -> list:
-    return delannoy_cases()
-
-
-def _suite_ladder(seed: int) -> list:
-    return ladder_cases()
-
-
-def _suite_pell(seed: int) -> list:
-    return support_count_cases(seed)
-
-
-def _suite_triangulation(seed: int) -> list:
-    return triangulation_cases() + interval_complex_cases(seed)
-
-
-def _suite_typeb(seed: int) -> list:
-    return interval_eulerian_cases(seed)
-
-
-def _suite_eigen(seed: int) -> list:
-    return eigen_cases(seed)
-
-
+# Each suite maps the seed to its list of cases.
 SUITES = {
-    "iota": _suite_iota,
-    "jojic-ab": _suite_jojic_ab,
-    "jojic-cd": _suite_jojic_cd,
-    "ii": _suite_ii,
-    "mixing": _suite_mixing,
-    "delannoy": _suite_delannoy,
-    "ladder": _suite_ladder,
-    "pell": _suite_pell,
-    "tcheb-triangulation": _suite_triangulation,
-    "typeb": _suite_typeb,
-    "eigen": _suite_eigen,
+    "iota": lambda seed: iota_example_cases() + interval_upsilon_corpus_cases(seed),
+    "jojic-ab": interval_ab_corpus_cases,
+    "jojic-cd": interval_cd_cases,
+    "ii": second_kind_corpus_cases,
+    "mixing": lambda seed: (
+        mixing_word_cases() + mixing_poset_cases(seed) + product_law_cases(seed)
+    ),
+    "delannoy": lambda seed: delannoy_cases(),
+    "ladder": lambda seed: ladder_cases(),
+    "pell": support_count_cases,
+    "tcheb-triangulation": lambda seed: (
+        triangulation_cases() + interval_complex_cases(seed)
+    ),
+    "typeb": interval_eulerian_cases,
+    "eigen": eigen_cases,
 }
 
 

@@ -311,3 +311,25 @@ def test_poset_refuses_non_string_labels(tmp_path, capsys):
         encoding="utf-8",
     )
     assert_refused(*run_cli(capsys, ["poset", "dual", "--in", str(poset)]))
+
+
+@pytest.mark.parametrize(
+    "elements, covers, rank",
+    [
+        ("ab", [["a", "b"]], None),
+        ({"a": 1, "b": 2}, [["a", "b"]], None),
+        (["a", "b"], ["ab"], None),
+        (["a", "b"], [["a", "b"]], [0, 1]),
+    ],
+    ids=["elements-string", "elements-dict", "cover-string", "rank-list"],
+)
+def test_poset_refuses_malformed_fields(tmp_path, capsys, elements, covers, rank):
+    poset = tmp_path / "malformed.json"
+    poset.write_text(
+        json.dumps(
+            {"elements": elements, "covers": covers, "rank": rank,
+             "bottom": "a", "top": "b"}
+        ),
+        encoding="utf-8",
+    )
+    assert_refused(*run_cli(capsys, ["poset", "dual", "--in", str(poset)]))

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from posetops.complexes import (
-    ComplexMultiset,
     F_polynomial,
     SimplicialComplex,
     UnivariatePoly,
@@ -30,6 +29,7 @@ from posetops.complexes import (
 )
 from posetops.errors import (
     FaceNotInComplex,
+    InvalidSize,
     NotAnEdgePermutation,
     PosetOpsError,
     TooLarge,
@@ -79,6 +79,13 @@ def test_chebyshev_polynomials():
     assert chebyshev_T(3).coeffs == (0, -3, 0, 4)
     assert chebyshev_U(2).coeffs == (-1, 0, 4)
     assert chebyshev_U(3).coeffs == (0, -4, 0, 8)
+
+
+def test_chebyshev_refuses_negative_degrees():
+    for chebyshev in (chebyshev_T, chebyshev_U):
+        for n in (-1, -2):
+            with pytest.raises(InvalidSize):
+                chebyshev(n)
 
 
 def test_cheb_transforms():
@@ -349,9 +356,3 @@ def test_complex_round_trip():
     data["vertices"] = ["v1", "v2", "v3"]
     with pytest.raises(PosetOpsError):
         complex_from_dict(data)
-
-
-def test_complex_multiset_holds_members():
-    members = ComplexMultiset([point(), single_edge()])
-    assert len(members) == 2
-    assert [m.f_vector() for m in members] == [[1, 1], [1, 2, 1]]

@@ -1,0 +1,110 @@
+"""Package-wide design rules.
+
+Every memo is functools.cache on a private helper: a module-level dict,
+list or set that code writes to, or a `global` statement, would be a
+second memo idiom.  Every public module-level callable of a layer module
+is a plain function, so a tracer that rebinds the public names from
+outside (as perfbench/layers.py does, wrapping only FunctionType) still
+sees each call.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+from types import FunctionType
+
+import pytest
+
+import posetops
+
+LAYERS = ("posets", "flags", "ncpoly", "operators", "complexes", "verify", "cli")
+PACKAGE_FILES = sorted(Path(posetops.__file__).parent.glob("*.py"))
+MUTATORS = {
+    "add",
+    "append",
+    "clear",
+    "discard",
+    "extend",
+    "insert",
+    "pop",
+    "popitem",
+    "remove",
+    "setdefault",
+    "update",
+}
+
+
+def _module_containers(tree: ast.Module) -> set:
+    """Names that module-level statements bind to a dict, list or set."""
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        is_container = isinstance(value, containers) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set")
+        )
+        if is_container:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _memo_writes(source: str) -> list:
+    """Lines that write to a module-level container or declare a global."""
+    tree = ast.parse(source)
+    names = _module_containers(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append((node.lineno, "global " + ", ".join(node.names)))
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and isinstance(node.value, ast.Name)
+            and node.value.id in names
+        ):
+            found.append((node.lineno, f"{node.value.id}[...] written"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in MUTATORS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in names
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda path: path.name)
+def test_no_module_level_memo(path):
+    assert _memo_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_memo_check_sees_the_old_idioms():
+    table = '_CACHE: dict = {}\n\ndef f(k):\n    _CACHE[k] = 1\n'
+    listed = '_ROWS = [1]\n\ndef f():\n    _ROWS.append(2)\n'
+    declared = '_SEEN = None\n\ndef f():\n    global _SEEN\n    _SEEN = 1\n'
+    for source in (table, listed, declared):
+        assert _memo_writes(source) != [], source
+    assert _memo_writes('_FIXED = {"a": 1}\n\ndef f():\n    return _FIXED["a"]\n') == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_public_callables_are_plain_functions(layer):
+    module = importlib.import_module(f"posetops.{layer}")
+    wrapped = [
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and callable(value)
+        and not isinstance(value, type)
+        and type(value).__module__ != module.__name__  # instances, such as X
+        and getattr(value, "__module__", None) == module.__name__
+        and not isinstance(value, FunctionType)
+    ]
+    assert wrapped == []

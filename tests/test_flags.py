@@ -4,7 +4,6 @@ import pytest
 
 from posetops.errors import NotExpressible, PosetOpsError
 from posetops.flags import (
-    FlagFVector,
     ab_index,
     cd_index,
     ce_index,
@@ -40,6 +39,8 @@ def test_flag_vector_of_boolean_cube():
     assert fv.count([2]) == 3
     assert fv.count([1, 2]) == 6
     assert fv.count((2, 1)) == 6
+    # keyed by rank mask, bit r - 1 for rank r; no zero entries
+    assert fv.counts == {0b00: 1, 0b01: 3, 0b10: 3, 0b11: 6}
 
 
 def test_flag_vector_of_ladder():
@@ -59,9 +60,13 @@ def test_flag_vector_total_counts_all_interior_chains():
 
 def test_flag_vector_rejects_bad_ranks():
     with pytest.raises(PosetOpsError):
-        FlagFVector(2, {(2,): 1})
+        flag_from_dict({"n": 2, "counts": [{"S": [2], "f": 1}]})
     with pytest.raises(PosetOpsError):
-        FlagFVector(3, {(1, 1): 2})
+        flag_from_dict({"n": 3, "counts": [{"S": [1, 1], "f": 2}]})
+    fv = flag_f_vector(boolean_lattice(3))
+    for S in ([0], [3], [1, 1]):
+        with pytest.raises(PosetOpsError):
+            fv.count(S)
 
 
 def test_upsilon_of_boolean_square():

@@ -129,6 +129,13 @@ def test_cd_word_count_follows_fibonacci():
     assert sizes == [1, 1, 2, 3, 5, 8, 13, 21]
 
 
+def test_memoized_results_are_handed_out_as_copies():
+    ncpoly.cd_words(3).append("zz")
+    assert ncpoly.cd_words(3) == ["ccc", "cd", "dc"]
+    ncpoly.expand_cd_word("d").terms.clear()
+    assert ncpoly.expand_cd_word("d") == P(AB, {"ab": 1, "ba": 1})
+
+
 def test_d_in_ce_form():
     assert ncpoly.cd_ce_convert(P(CD, {"d": 1}), "ce") == P(
         CE, {"cc": Fraction(1, 2), "ee": Fraction(-1, 2)}

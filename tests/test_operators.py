@@ -370,6 +370,11 @@ def test_delannoy_caps_the_path_length():
         delannoy_mixing(1000, 1000)
 
 
+def test_delannoy_result_is_a_copy():
+    delannoy_mixing(2, 1).terms.clear()
+    assert delannoy_mixing(2, 1) == mixing_cd(monomial(CD, "cc"), monomial(CD, "c"))
+
+
 def test_delannoy_ce_coefficients():
     assert delannoy_ce_coefficient(0, 0, 0) == 1
     assert delannoy_ce_coefficient(0, 1, 0) == Fraction(3, 2)

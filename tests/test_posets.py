@@ -278,7 +278,7 @@ def test_second_kind_transform_of_boolean_square():
     B2 = boolean_lattice(2)
     members = second_kind_transform(B2)
     assert len(members) == 4
-    assert members.generators == list(B2.labels)
+    assert [x for x, _ in members] == list(B2.labels)
     for x, member in members:
         assert len(member) == 4
         assert member.bottom == f"[{x},{x}]"
@@ -290,7 +290,7 @@ def test_second_kind_transform_of_boolean_square():
 def test_second_kind_member_sizes_on_boolean_cube():
     B3 = boolean_lattice(3)
     members = second_kind_transform(B3)
-    sizes = sorted(len(m) for m in members.members)
+    sizes = sorted(len(m) for _, m in members)
     # |{intervals through x}| = 2**(3 - |x|) * 2**|x| = 8 for every x
     assert sizes == [8] * 8
     for x, member in members:
