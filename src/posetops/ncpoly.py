@@ -288,6 +288,23 @@ def substitute(p: NCPoly, images: dict[str, NCPoly]) -> NCPoly:
     return _apply_wordwise(p, image, target_alphabet)
 
 
+def _change_basis(terms: dict, sign: int) -> dict:
+    """Substitute a -> a + sign*b in every word, one letter position at a
+    time, so the work is n passes over at most 2^n words and nothing is
+    memoized.  Keys may join two words with "|"; both are substituted."""
+    terms = dict(terms)
+    for i in range(max(map(len, terms), default=0)):
+        _accumulate(
+            terms,
+            [
+                (word[:i] + "b" + word[i + 1 :], sign * coeff)
+                for word, coeff in terms.items()
+                if word[i : i + 1] == "a"
+            ],
+        )
+    return terms
+
+
 # -- word enumeration --------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from .ncpoly import (
     _accumulate,
     _apply_wordwise,
     _cd_coproduct_word,
+    _change_basis,
     ab_words,
     asym_basis,
     matrix_rank,
@@ -105,23 +106,6 @@ def _word_to_composition(word: str) -> tuple:
 
 def _composition_to_word(parts: tuple) -> str:
     return "b".join("a" * (part - 1) for part in parts)
-
-
-def _change_basis(terms: dict, sign: int) -> dict:
-    """Substitute a -> a + sign*b in every word, one letter position at a
-    time, so the work is n passes over at most 2^n words and nothing is
-    memoized.  Keys may join two words with "|"; both are substituted."""
-    terms = dict(terms)
-    for i in range(max(map(len, terms), default=0)):
-        _accumulate(
-            terms,
-            [
-                (word[:i] + "b" + word[i + 1 :], sign * coeff)
-                for word, coeff in terms.items()
-                if word[i : i + 1] == "a"
-            ],
-        )
-    return terms
 
 
 def _to_flags(p: NCPoly) -> dict:

@@ -10,6 +10,7 @@ import pytest
 
 from posetops.cli import _split_support, main
 from posetops.errors import PosetOpsError
+from posetops.posets import GradedPoset, chain_poset, poset_to_dict
 
 
 def run_cli(capsys, argv):
@@ -146,6 +147,44 @@ def test_op_delannoy_refuses_endpoints_past_the_cap(capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def assert_refused(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["flag", "ab"])
+@pytest.mark.parametrize("kind", ["chain", "ladder"])
+def test_index_refuses_generated_ranks_over_the_cap(capsys, which, kind):
+    # rank 40 or 41: the flag vector alone would have 2^39 entries
+    assert_refused(*run_cli(capsys, ["index", which, "--kind", kind, "--n", "40"]))
+
+
+def _wide_top_poset():
+    """Rank 16: a chain up to rank 13, then two ranks of 65 elements with
+    every cover between them; counting its flags takes 35,684,208 additions."""
+    labels = ["0", *(f"c{r}" for r in range(1, 14)), "T"]
+    covers = [(f"c{r}", f"c{r + 1}") for r in range(1, 13)] + [("0", "c1")]
+    low = [f"u{i}" for i in range(65)]
+    high = [f"v{i}" for i in range(65)]
+    covers += [("c13", u) for u in low] + [(v, "T") for v in high]
+    covers += [(u, v) for u in low for v in high]
+    return GradedPoset(labels + low + high, covers)
+
+
+@pytest.mark.parametrize("which", ["flag", "ce"])
+def test_index_refuses_poset_files_over_the_caps(tmp_path, capsys, which):
+    tall = tmp_path / "chain17.json"
+    tall.write_text(json.dumps(poset_to_dict(chain_poset(17))), encoding="utf-8")
+    assert_refused(*run_cli(capsys, ["index", which, "--in", str(tall)]))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(poset_to_dict(_wide_top_poset())), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["index", which, "--in", str(wide)])
+    assert_refused(code, out, err)
+    assert "additions" in err
 
 
 def test_op_refuses_a_zero_denominator(tmp_path, capsys):

@@ -1,9 +1,21 @@
+import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from posetops.errors import NotExpressible, PosetOpsError
+from posetops import flags
+from posetops.errors import (
+    NotBounded,
+    NotExpressible,
+    NotGraded,
+    PosetOpsError,
+    TooLarge,
+)
 from posetops.flags import (
+    FLAG_RANK_CAP,
+    FLAG_WORK_CAP,
+    FlagFVector,
     ab_index,
     cd_index,
     ce_index,
@@ -12,7 +24,15 @@ from posetops.flags import (
     flag_to_dict,
     upsilon,
 )
-from posetops.ncpoly import AB, CD, CE, NCPoly, rewrite_ab_to_cd
+from posetops.ncpoly import (
+    AB,
+    CD,
+    CE,
+    NCPoly,
+    ab_words,
+    rewrite_ab_to_cd,
+    substitute,
+)
 from posetops.posets import (
     boolean_lattice,
     chain_poset,
@@ -20,6 +40,7 @@ from posetops.posets import (
     cube_lattice,
     direct_product,
     graded_interval_poset,
+    induced_subposet,
     is_eulerian,
     ladder_poset,
 )
@@ -168,3 +189,119 @@ def test_upsilon_route_agrees_with_cd_index_on_the_corpus():
             assert from_psi is not None, name
             eulerian += 1
     assert eulerian >= 20
+
+
+# -- the dynamic program against the chain enumeration it replaced ----------------
+
+
+def _enumerated_flag_vector(P) -> FlagFVector:
+    """Every interior chain visited depth first, one count per rank mask."""
+    n = P.top_rank
+    interior = [i for i in range(len(P.labels)) if 0 < P.rank[i] < n]
+    interior.sort(key=lambda i: P.rank[i])
+    above = {
+        i: [j for j in interior if j != i and P.up[i] >> j & 1] for i in interior
+    }
+    counts = {0: 1}
+
+    def visit(i, mask):
+        mask |= 1 << (P.rank[i] - 1)
+        counts[mask] = counts.get(mask, 0) + 1
+        for j in above[i]:
+            visit(j, mask)
+
+    for i in interior:
+        visit(i, 0)
+    return FlagFVector(n, counts)
+
+
+def _ab_index_by_substitution(fv: FlagFVector) -> NCPoly:
+    """The flag words under the algebra map a -> a-b, b -> b."""
+    words = {
+        "".join("b" if mask >> r & 1 else "a" for r in range(fv.n - 1)): count
+        for mask, count in fv.counts.items()
+    }
+    images = {"a": NCPoly(AB, {"a": 1, "b": -1}), "b": NCPoly(AB, {"b": 1})}
+    return substitute(NCPoly(AB, words), images)
+
+
+def _random_subposets_of_boolean_5(seed: int, count: int) -> list:
+    """Seeded draws of interior elements, each kept with probability 0.8,
+    until `count` of them leave a bounded graded subposet."""
+    rng = random.Random(seed)
+    big = boolean_lattice(5)
+    inner = [x for x in big.labels if x not in (big.bottom, big.top)]
+    out = []
+    while len(out) < count:
+        keep = [x for x in inner if rng.random() < 0.8]
+        try:
+            P = induced_subposet(big, [big.bottom, *keep, big.top])
+        except (NotGraded, NotBounded):
+            continue
+        out.append((f"random {len(out)} from boolean 5 (seed {seed})", P))
+    return out
+
+
+def _oracle_posets() -> list:
+    # corpus(1) differs from corpus(0) only in its random members
+    posets = dict(corpus(0) + corpus(1))
+    posets = list(posets.items()) + _random_subposets_of_boolean_5(5, 12)
+    factors = {f"cube {a}": cube_lattice(a) for a in (1, 2, 3)}
+    factors.update({f"boolean {b}": boolean_lattice(b) for b in (1, 2, 3)})
+    products = [(f"cube {a}", f"boolean {b}") for a in (1, 2, 3) for b in (1, 2, 3)]
+    products += [("cube 1", "cube 2"), ("cube 2", "cube 2"), ("cube 2", "cube 3")]
+    products.append(("boolean 2", "boolean 3"))
+    for x, y in products:
+        posets.append((f"{x} x {y}", direct_product(factors[x], factors[y])))
+    posets += [(f"chain {n}", chain_poset(n)) for n in range(1, 9)]
+    posets += [(f"ladder {n}", ladder_poset(n)) for n in range(1, 8)]
+    return posets
+
+
+def test_flag_vector_and_ab_index_match_enumeration_and_substitution():
+    for name, P in _oracle_posets():
+        enumerated = _enumerated_flag_vector(P)
+        assert flag_f_vector(P) == enumerated, name
+        assert ab_index(P) == _ab_index_by_substitution(enumerated), name
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_boolean_flag_counts_are_multinomials(n):
+    # a chain with rank set s1 < ... < sk is a sequence of nested subsets:
+    # n! / (s1! (s2 - s1)! ... (n - sk)!) of them
+    expected = {}
+    for mask in range(1 << (n - 1)):
+        cuts = [0] + [r + 1 for r in range(n - 1) if mask >> r & 1] + [n]
+        count = factorial(n)
+        for lo, hi in zip(cuts, cuts[1:]):
+            count //= factorial(hi - lo)
+        expected[mask] = count
+    assert flag_f_vector(boolean_lattice(n)).counts == expected
+
+
+def test_ab_index_of_ladder_14_is_a_plus_b_to_the_14th():
+    assert ab_index(ladder_poset(14)) == NCPoly(AB, {w: 1 for w in ab_words(14)})
+
+
+def test_flag_vector_refuses_ranks_over_the_cap():
+    assert flag_f_vector(chain_poset(FLAG_RANK_CAP)).n == FLAG_RANK_CAP
+    for P in (chain_poset(FLAG_RANK_CAP + 1), ladder_poset(FLAG_RANK_CAP)):
+        with pytest.raises(TooLarge):
+            flag_f_vector(P)
+
+
+def test_flag_work_cap_admits_every_generated_boolean_lattice(monkeypatch):
+    # x of rank k has C(k, j) interior elements of rank j below it, each
+    # topping chains of 2^(j - 1) rank masks; boolean 13 is the largest
+    # lattice that generation admits
+    def work(n):
+        return sum(comb(n, k) * (3**k - 1 - 2**k) // 2 for k in range(1, n))
+
+    assert work(13) == 31_960_110 <= FLAG_WORK_CAP
+    B6 = boolean_lattice(6)
+    expected = flag_f_vector(B6)
+    monkeypatch.setattr(flags, "FLAG_WORK_CAP", work(6))
+    assert flag_f_vector(B6) == expected
+    monkeypatch.setattr(flags, "FLAG_WORK_CAP", work(6) - 1)
+    with pytest.raises(TooLarge, match=f"takes {work(6)} additions"):
+        flag_f_vector(B6)
