@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .errors import PosetOpsError
 from .flags import (
@@ -52,12 +53,12 @@ USAGE_EXIT = 64
 
 
 def _emit(data, out_path) -> None:
-    text = json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the JSON chunk by chunk: the text of a large report is never
+    held whole, nor as a list of its pieces."""
+    target = open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
+    with target as handle:
+        json.dump(data, handle, ensure_ascii=False, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def _load_json(path: str):

@@ -269,9 +269,7 @@ def link(K: SimplicialComplex, face) -> SimplicialComplex:
     face = frozenset(face)
     if face not in K.faces:
         raise FaceNotInComplex(f"{sorted(face)} is not a face")
-    return SimplicialComplex(
-        {g for g in K.faces if not g & face and g | face in K.faces}
-    )
+    return SimplicialComplex({f - face for f in K.faces if face <= f})
 
 
 def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
@@ -306,13 +304,16 @@ def stellar_subdivide(K: SimplicialComplex, edge) -> SimplicialComplex:
     m = midpoint_label(u, v)
     if m in K.vertices:
         raise PosetOpsError(f"midpoint label {m!r} already taken")
-    kept = {f for f in K.faces if not edge <= f}
-    star = link(K, edge).faces
-    added = set()
-    for g in (frozenset(), frozenset({u}), frozenset({v})):
-        for h in star:
-            added.add(frozenset({m}) | g | h)
-    return SimplicialComplex(kept | added)
+    kept = set()
+    star = []  # the link of the edge: f - edge for every face f holding it
+    for f in K.faces:
+        if edge <= f:
+            star.append(f - edge)
+        else:
+            kept.add(f)
+    for g in (frozenset({m}), frozenset({m, u}), frozenset({m, v})):
+        kept.update(g | h for h in star)
+    return SimplicialComplex(kept)
 
 
 def tchebyshev_triangulation(K: SimplicialComplex, edge_order=None) -> SimplicialComplex:

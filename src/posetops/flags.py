@@ -32,12 +32,11 @@ from .errors import PosetOpsError, TooLarge
 from .ncpoly import (
     AB,
     NCPoly,
-    _accumulate,
     _change_basis,
     cd_ce_convert,
     rewrite_ab_to_cd,
 )
-from .posets import GradedPoset
+from .posets import GradedPoset, _bits
 
 FLAG_RANK_CAP = 16
 FLAG_WORK_CAP = 1 << 25
@@ -92,9 +91,7 @@ def flag_f_vector(P: GradedPoset) -> FlagFVector:
     if n > FLAG_RANK_CAP:
         raise TooLarge(f"rank {n} exceeds the flag-vector cap of {FLAG_RANK_CAP}")
     rank = P.rank
-    interior = sorted(
-        (i for i in range(len(rank)) if 0 < rank[i] < n), key=rank.__getitem__
-    )
+    interior = [x for x in range(len(rank)) if 0 < rank[x] < n]
     layers = [0] * max(n - 1, 0)  # the interior by rank, bit i for element i
     for x in interior:
         layers[rank[x] - 1] |= 1 << x
@@ -110,21 +107,21 @@ def flag_f_vector(P: GradedPoset) -> FlagFVector:
         )
     # ending[x][s]: chains topped by x whose other ranks form the mask s.  The
     # chains topped by the y of rank j + 1 below x fill s = 2^j .. 2^(j+1) - 1,
-    # and in a graded poset every x has such y for each j < rank(x) - 1.
+    # and in a graded poset every x has such y for each j < rank(x) - 1.  The
+    # counts with top rank r + 1 are the column sums over layer r.
     ending: dict[int, list] = {}
     counts: dict[int, int] = {0: 1}
-    for x in interior:
-        here = [1]
-        for layer in layers[: rank[x] - 1]:
-            below = P.down[x] & layer
-            tops = []
-            while below:
-                tops.append(ending[(below & -below).bit_length() - 1])
-                below &= below - 1
-            here += map(sum, zip(*tops))
-        ending[x] = here
-        bit = 1 << (rank[x] - 1)
-        _accumulate(counts, ((bit | s, c) for s, c in enumerate(here)))
+    for r, layer in enumerate(layers):
+        column = []
+        for x in _bits(layer):
+            here = [1]
+            for lower in layers[:r]:
+                # A list: unpacking a generator leaves a resized tuple on the
+                # tuple free list each time, about 1 MB of peak RSS in verify.
+                here += map(sum, zip(*[ending[y] for y in _bits(P.down[x] & lower)]))
+            ending[x] = here
+            column.append(here)
+        counts.update((1 << r | s, c) for s, c in enumerate(map(sum, zip(*column))))
     return FlagFVector(n, counts)
 
 

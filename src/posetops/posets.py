@@ -3,6 +3,19 @@
 The order relation is materialized at construction time as one bitmask row
 per element (up[i] holds every j with element i below-or-equal element j),
 so comparability tests and interval extraction are cheap afterwards.
+
+One closing routine, `Poset._close`, finishes every poset from the upper
+covers of each element given as indices: topological order, the up/down
+masks, and the refusal of cycles and of covers implied by a longer path;
+for a GradedPoset also the bounded and graded checks and the ranks, in the
+same order.  The label constructor only parses (lo, hi) label pairs into
+index covers.  Duals, products, intervals and second-kind members hand the
+index covers of their input to the routine directly.
+
+Derived posets are counted from the masks before they are built (the
+intervals of P number the sum of |up[x]|, a product |P|·|Q|, and all
+second-kind members together the sum of |down[x]|·|up[x]|) and refused
+with TooLarge above GENERATION_CAP elements, the cap of the generators.
 """
 
 from functools import cache
@@ -38,14 +51,8 @@ class Poset:
 
     def __init__(self, labels, cover_pairs):
         labels = tuple(labels)
-        index: dict[str, int] = {}
-        for i, label in enumerate(labels):
-            if label in index:
-                raise PosetOpsError(f"duplicate element label {label!r}")
-            index[label] = i
-        n = len(labels)
-        covers_up: list[list[int]] = [[] for _ in range(n)]
-        covers_down: list[list[int]] = [[] for _ in range(n)]
+        index = _label_index(labels)
+        covers_up: list[list[int]] = [[] for _ in labels]
         seen: set[tuple[int, int]] = set()
         for lo, hi in cover_pairs:
             if lo not in index or hi not in index:
@@ -59,9 +66,38 @@ class Poset:
                 continue
             seen.add((i, j))
             covers_up[i].append(j)
-            covers_down[j].append(i)
+        self._close(labels, index, covers_up)
 
-        order = self._topological_order(n, covers_up, covers_down)
+    @classmethod
+    def _from_covers(cls, labels, covers_up):
+        """The poset on `labels` in which i is covered by the distinct indices
+        in covers_up[i], none of them i: the route of every derived poset."""
+        P = cls.__new__(cls)
+        labels = tuple(labels)
+        P._close(labels, _label_index(labels), covers_up)
+        return P
+
+    def _close(self, labels, index, covers_up):
+        """The one closing routine: order, up/down masks, and the checks for
+        cycles and implied covers.  Returns the topological order."""
+        n = len(labels)
+        covers_down: list[list[int]] = [[] for _ in range(n)]
+        for i, js in enumerate(covers_up):
+            for j in js:
+                covers_down[j].append(i)
+
+        indegree = [len(js) for js in covers_down]
+        stack = [i for i in range(n) if not indegree[i]]
+        order = []
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            for j in covers_up[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    stack.append(j)
+        if len(order) != n:
+            raise CycleDetected("the cover relation contains a cycle")
 
         up = [0] * n
         for i in reversed(order):
@@ -76,14 +112,17 @@ class Poset:
                 mask |= down[j]
             down[i] = mask
 
+        # A cover i < j is implied when another upper cover of i lies below j.
         for i in range(n):
+            cover_mask = 0
             for j in covers_up[i]:
-                for k in covers_up[i]:
-                    if k != j and up[k] >> j & 1:
-                        raise PosetOpsError(
-                            f"cover ({labels[i]!r}, {labels[j]!r}) is implied "
-                            f"by a longer path and must not be listed"
-                        )
+                cover_mask |= 1 << j
+            for j in covers_up[i]:
+                if down[j] & cover_mask & ~(1 << j):
+                    raise PosetOpsError(
+                        f"cover ({labels[i]!r}, {labels[j]!r}) is implied "
+                        f"by a longer path and must not be listed"
+                    )
 
         self.labels = labels
         self.index = index
@@ -91,21 +130,6 @@ class Poset:
         self.covers_down = tuple(tuple(js) for js in covers_down)
         self.up = tuple(up)
         self.down = tuple(down)
-
-    @staticmethod
-    def _topological_order(n, covers_up, covers_down):
-        indegree = [len(js) for js in covers_down]
-        stack = [i for i in range(n) if not indegree[i]]
-        order = []
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            for j in covers_up[i]:
-                indegree[j] -= 1
-                if not indegree[j]:
-                    stack.append(j)
-        if len(order) != n:
-            raise CycleDetected("the cover relation contains a cycle")
         return order
 
     def __len__(self) -> int:
@@ -143,8 +167,26 @@ class Poset:
         """Bitmask of the elements between i and j inclusive."""
         return self.up[i] & self.down[j]
 
-    def dual(self) -> "Poset":
-        return Poset(self.labels, [(hi, lo) for lo, hi in self.cover_pairs()])
+    def dual(self):
+        """The reversed order, of the same class."""
+        return type(self)._from_covers(self.labels, self.covers_down)
+
+
+def _label_index(labels) -> dict:
+    index: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if label in index:
+            raise PosetOpsError(f"duplicate element label {label!r}")
+        index[label] = i
+    return index
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class GradedPoset(Poset):
@@ -152,31 +194,30 @@ class GradedPoset(Poset):
 
     __slots__ = ("rank", "bottom_index", "top_index")
 
-    def __init__(self, labels, cover_pairs):
-        super().__init__(labels, cover_pairs)
-        n = len(self.labels)
+    def _close(self, labels, index, covers_up):
+        """The poset closing routine, then the bounded and graded checks and
+        the ranks, in the same topological order."""
+        order = super()._close(labels, index, covers_up)
         mins = self.minimal_indices()
         maxes = self.maximal_indices()
         if len(mins) != 1:
             raise NotBounded(f"{len(mins)} minimal elements, need exactly one")
         if len(maxes) != 1:
             raise NotBounded(f"{len(maxes)} maximal elements, need exactly one")
-        bottom = mins[0]
-        rank = [-1] * n
-        rank[bottom] = 0
-        order = self._topological_order(n, self.covers_up, self.covers_down)
+        rank = [-1] * len(labels)
+        rank[mins[0]] = 0
         for i in order:
             for j in self.covers_up[i]:
                 if rank[j] == -1:
                     rank[j] = rank[i] + 1
                 elif rank[j] != rank[i] + 1:
                     raise NotGraded(
-                        f"cover ({self.labels[i]!r}, {self.labels[j]!r}) "
-                        f"skips a rank"
+                        f"cover ({labels[i]!r}, {labels[j]!r}) skips a rank"
                     )
         self.rank = tuple(rank)
-        self.bottom_index = bottom
+        self.bottom_index = mins[0]
         self.top_index = maxes[0]
+        return order
 
     @property
     def bottom(self) -> str:
@@ -192,9 +233,6 @@ class GradedPoset(Poset):
 
     def rank_of(self, label: str) -> int:
         return self.rank[self.index[label]]
-
-    def dual(self) -> "GradedPoset":
-        return GradedPoset(self.labels, [(hi, lo) for lo, hi in self.cover_pairs()])
 
 
 # -- generators ----------------------------------------------------------------
@@ -316,6 +354,11 @@ def generate(kind: str, n: int) -> GradedPoset:
 def _check_size(n: int, element_count: int) -> None:
     if n < 1:
         raise InvalidSize(f"need n >= 1, got {n}")
+    _check_cap(element_count)
+
+
+def _check_cap(element_count: int) -> None:
+    """Refuse a poset of more than GENERATION_CAP elements before building it."""
     if element_count > GENERATION_CAP:
         raise TooLarge(f"{element_count} elements exceed the cap of {GENERATION_CAP}")
 
@@ -352,21 +395,23 @@ def induced_subposet(P: Poset, elements) -> GradedPoset:
 
 
 def direct_product(P: Poset, Q: Poset) -> Poset:
-    """Componentwise order on pairs; graded whenever both factors are."""
+    """Componentwise order on pairs; graded whenever both factors are.  The
+    pair (p, q) has index p * |Q| + q."""
+    m = len(Q)
+    _check_cap(len(P) * m)
     labels = [pair_label(p, q) for p in P.labels for q in Q.labels]
-    covers = []
-    for p_lo, p_hi in P.cover_pairs():
-        for q in Q.labels:
-            covers.append((pair_label(p_lo, q), pair_label(p_hi, q)))
-    for q_lo, q_hi in Q.cover_pairs():
-        for p in P.labels:
-            covers.append((pair_label(p, q_lo), pair_label(p, q_hi)))
+    covers_up = [
+        [p2 * m + q for p2 in p_above] + [p * m + q2 for q2 in q_above]
+        for p, p_above in enumerate(P.covers_up)
+        for q, q_above in enumerate(Q.covers_up)
+    ]
     cls = GradedPoset if isinstance(P, GradedPoset) and isinstance(Q, GradedPoset) else Poset
-    return cls(labels, covers)
+    return cls._from_covers(labels, covers_up)
 
 
 def diamond_product(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
     """Product of the posets with bottoms removed, re-bounded from below."""
+    _check_cap((len(P) - 1) * (len(Q) - 1) + 1)
     new_bottom = "0̂"
     keep_p = [p for p in P.labels if p != P.bottom]
     keep_q = [q for q in Q.labels if q != Q.bottom]
@@ -394,59 +439,51 @@ def diamond_product(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
 
 def _interval_pairs(P: Poset):
     """Index pairs (i, j) with i below-or-equal j, in label order."""
-    n = len(P.labels)
-    return [(i, j) for i in range(n) for j in range(n) if P.up[i] >> j & 1]
+    return [(i, j) for i, above in enumerate(P.up) for j in _bits(above)]
 
 
-def _interval_cover_pairs(P: Poset, pairs):
-    """Covers between intervals: shift one endpoint by one cover step."""
-    covers = []
-    present = set(pairs)
-    for i, j in pairs:
-        lo = P.labels[i]
-        hi = P.labels[j]
-        here = interval_label(lo, hi)
-        for k in P.covers_down[i]:
-            if (k, j) in present:
-                covers.append((here, interval_label(P.labels[k], hi)))
-        for k in P.covers_up[j]:
-            if (i, k) in present:
-                covers.append((here, interval_label(lo, P.labels[k])))
-    return covers
+def _interval_labels(P: Poset, pairs):
+    return [interval_label(P.labels[i], P.labels[j]) for i, j in pairs]
+
+
+def _interval_covers(P: Poset, pairs, first: int = 0):
+    """The upper covers of each interval in `pairs`, as indices numbered from
+    `first` in the given order: [i,j] is covered by [k,j] for each lower
+    cover k of i and by [i,k] for each upper cover k of j.  The pairs must
+    hold every interval that contains one of them."""
+    position = {pair: p for p, pair in enumerate(pairs, first)}
+    return [
+        [position[k, j] for k in P.covers_down[i]]
+        + [position[i, k] for k in P.covers_up[j]]
+        for i, j in pairs
+    ]
 
 
 def interval_poset(P: Poset) -> Poset:
     """All nonempty intervals of P ordered by inclusion."""
+    _check_cap(sum(above.bit_count() for above in P.up))
     pairs = _interval_pairs(P)
-    labels = [interval_label(P.labels[i], P.labels[j]) for i, j in pairs]
-    return Poset(labels, _interval_cover_pairs(P, pairs))
+    return Poset._from_covers(_interval_labels(P, pairs), _interval_covers(P, pairs))
 
 
 def graded_interval_poset(P: GradedPoset) -> GradedPoset:
     """The interval poset with the empty interval adjoined as bottom."""
+    _check_cap(sum(above.bit_count() for above in P.up) + 1)
     pairs = _interval_pairs(P)
-    labels = [EMPTY_INTERVAL] + [
-        interval_label(P.labels[i], P.labels[j]) for i, j in pairs
-    ]
-    covers = [
-        (EMPTY_INTERVAL, interval_label(label, label)) for label in P.labels
-    ] + _interval_cover_pairs(P, pairs)
-    return GradedPoset(labels, covers)
+    labels = [EMPTY_INTERVAL] + _interval_labels(P, pairs)
+    diagonal = [p for p, (i, j) in enumerate(pairs, 1) if i == j]
+    return GradedPoset._from_covers(labels, [diagonal] + _interval_covers(P, pairs, 1))
 
 
 def interval_subposet(P: GradedPoset, lower: str, upper: str) -> GradedPoset:
     """The interval [lower, upper] of P as a graded poset of its own."""
     if not P.leq(lower, upper):
         raise PosetOpsError(f"{lower!r} is not below {upper!r}")
-    i, j = P.index[lower], P.index[upper]
-    mask = P.interval_indices(i, j)
-    labels = [P.labels[k] for k in range(len(P.labels)) if mask >> k & 1]
-    covers = [
-        (lo, hi)
-        for lo, hi in P.cover_pairs()
-        if mask >> P.index[lo] & 1 and mask >> P.index[hi] & 1
-    ]
-    return GradedPoset(labels, covers)
+    mask = P.interval_indices(P.index[lower], P.index[upper])
+    kept = list(_bits(mask))
+    position = {k: p for p, k in enumerate(kept)}
+    covers_up = [[position[j] for j in P.covers_up[k] if mask >> j & 1] for k in kept]
+    return GradedPoset._from_covers([P.labels[k] for k in kept], covers_up)
 
 
 def second_kind_transform(P: GradedPoset) -> list:
@@ -456,18 +493,15 @@ def second_kind_transform(P: GradedPoset) -> list:
     bottom is [x,x] and its top is the whole ground set.  Returns the
     (x, member) pairs in the label order of P.
     """
+    _check_cap(sum(d.bit_count() * u.bit_count() for d, u in zip(P.down, P.up)))
     members = []
-    for x in P.labels:
-        xi = P.index[x]
-        pairs = [
-            (i, j)
-            for i in range(len(P.labels))
-            for j in range(len(P.labels))
-            if P.up[i] >> xi & 1 and P.up[xi] >> j & 1
-        ]
-        labels = [interval_label(P.labels[i], P.labels[j]) for i, j in pairs]
-        covers = _interval_cover_pairs(P, pairs)
-        members.append((x, GradedPoset(labels, covers)))
+    for x, label in enumerate(P.labels):
+        above = list(_bits(P.up[x]))
+        pairs = [(i, j) for i in _bits(P.down[x]) for j in above]
+        member = GradedPoset._from_covers(
+            _interval_labels(P, pairs), _interval_covers(P, pairs)
+        )
+        members.append((label, member))
     return members
 
 

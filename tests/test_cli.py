@@ -187,6 +187,44 @@ def test_index_refuses_poset_files_over_the_caps(tmp_path, capsys, which):
     assert "additions" in err
 
 
+def test_poset_file_with_an_implied_cover_is_refused(tmp_path, capsys):
+    path = tmp_path / "implied.json"
+    path.write_text(
+        json.dumps(
+            {
+                "elements": ["a", "b", "c"],
+                "covers": [["a", "b"], ["b", "c"], ["a", "c"]],
+                "rank": None,
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, ["poset", "dual", "--in", str(path)])
+    assert_refused(code, out, err)
+    assert "cover ('a', 'c') is implied by a longer path" in err
+
+
+@pytest.mark.parametrize(
+    "action, kind, n",
+    [
+        ("intervals", "chain", "3000"),  # 4,504,501 intervals
+        ("graded-intervals", "chain", "3000"),
+        ("second-kind", "chain", "600"),  # 36,361,101 member elements
+        ("product", "boolean", "12"),  # 4096^2 pairs
+        ("diamond", "boolean", "12"),
+    ],
+)
+def test_derived_posets_over_the_cap_are_refused(tmp_path, capsys, action, kind, n):
+    path = str(tmp_path / "in.json")
+    assert main(["poset", "gen", "--kind", kind, "--n", n, "--out", path]) == 0
+    argv = ["poset", action, "--in", path]
+    if action in ("product", "diamond"):
+        argv += ["--in2", path]
+    code, out, err = run_cli(capsys, argv)
+    assert_refused(code, out, err)
+    assert "exceed the cap of 8192" in err
+
+
 def test_op_refuses_a_zero_denominator(tmp_path, capsys):
     poly = tmp_path / "zero_den.json"
     write_poly(poly, "ab", [("a", 1, 0)])

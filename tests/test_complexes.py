@@ -43,6 +43,7 @@ from posetops.posets import (
     interval_poset,
     ladder_poset,
 )
+from posetops.verify import complex_corpus
 
 
 def point():
@@ -166,6 +167,13 @@ def test_link_of_vertex_in_boundary_triangle():
     assert set(L.vertices) == {"y", "z"}
     with pytest.raises(FaceNotInComplex):
         link(K, {"x", "w"})
+
+
+def test_link_is_the_two_condition_scan_on_every_corpus_face():
+    for _, K in complex_corpus():
+        for face in K.faces:
+            expected = {g for g in K.faces if not g & face and g | face in K.faces}
+            assert link(K, face).faces == expected
 
 
 def test_join_disjoint_labels():

@@ -29,6 +29,19 @@ POLYS = {
     "cd_small": ("cd", [("cccc", 1, 1), ("cd", 1, 3), ("dd", -2, 1)]),
 }
 
+# Poset input files: generated ones as `poset gen` writes them, and one
+# poset without rank data (a bottom under two maximal elements).
+GENERATED = {"boolean3": ("boolean", "3"), "ladder3": ("ladder", "3")}
+UNGRADED = {
+    "vee": {
+        "elements": ["o", "p", "q"],
+        "covers": [["o", "p"], ["o", "q"]],
+        "rank": None,
+        "bottom": None,
+        "top": None,
+    }
+}
+
 CALLS = (
     [
         ["index", which, "--kind", kind, "--n", n]
@@ -48,6 +61,17 @@ CALLS = (
         ["op", "delannoy", "--i", "3", "--j", "4"],
         ["verify", "--suite", "delannoy"],
     ]
+    + [
+        ["poset", action, "--in", name]
+        for name in ("boolean3", "ladder3")
+        for action in ("intervals", "graded-intervals", "second-kind", "dual")
+    ]
+    + [["poset", action, "--in", "vee"] for action in ("intervals", "dual")]
+    + [
+        ["poset", action, "--in", "boolean3", "--in2", "ladder3"]
+        for action in ("product", "diamond")
+    ]
+    + [["poset", "product", "--in", "vee", "--in2", "ladder3"]]
 )
 
 # " ".join(argv) -> (exit code, sha256 of stdout), recorded before the
@@ -86,6 +110,20 @@ DIGESTS = {
     "op M --in ab_small --in2 cd_small": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "op delannoy --i 3 --j 4": (0, "b84491efc6301a500a50492e191b600e2fd554d3ee4135ced13ea8f63a570e69"),
     "verify --suite delannoy": (0, "132c11155eceb71256b9df2b7575119881cbb346beb5befb9093ed790935b6d2"),
+    # recorded before derived posets were built from index covers
+    "poset intervals --in boolean3": (0, "7da1656b10d80d0b796d0d74e6c283130e0355827bbbc12b5ac10a9df9b0dee5"),
+    "poset graded-intervals --in boolean3": (0, "b555733a76c3c3050a5ebbf88cace594983d8efafb2289a1caeb6be338af1ae0"),
+    "poset second-kind --in boolean3": (0, "0d92a9236db0de538bcf71786a4fb5e0643ec07a6269435a3edffa58ab61fc1d"),
+    "poset dual --in boolean3": (0, "d2c0c8639e68f26b41b19cc37ccde752e8bbcb0c52cf060daf9e9210d76b4d3e"),
+    "poset intervals --in ladder3": (0, "236040bdccb9e8d47636be4e3fe0ee2a567e189c865cbd74be6b673747bd15a7"),
+    "poset graded-intervals --in ladder3": (0, "90a7fe0e5bb0234dab38d0e1a0136a95a4ff56256bc379d16109b4fbcc1a2d96"),
+    "poset second-kind --in ladder3": (0, "9b2b18c033b77e54dd8b73b618fe736d9df68495407c938a6137f5967bb46e1f"),
+    "poset dual --in ladder3": (0, "3b894dc9cafbb1e48623c9b6aba84bf41f061dc44330b00312877c075a3838e9"),
+    "poset intervals --in vee": (0, "6be3f321d31b164b329ae7fb1501971093312181e282b08ed1cc60b65692da08"),
+    "poset dual --in vee": (0, "e54de34b517d3046651eb23b7d17eaa62ca3961ad7d5fa9066f6c7cf515a9a73"),
+    "poset product --in boolean3 --in2 ladder3": (0, "2dd214c4be82d11cd48d88c248b5c47791085a1edeae40b0cd44c7ded3640e5d"),
+    "poset diamond --in boolean3 --in2 ladder3": (0, "5bad7bde5835b20600d73ffc5397994493f4f2a560dd0f48438d917c8f7d507d"),
+    "poset product --in vee --in2 ladder3": (0, "8cfb207845d365e1d35ffbc79852f1322f0ef12e3b7f623655b266dd4ab1fa9d"),
 }
 
 
@@ -96,10 +134,16 @@ def _write_inputs(directory):
             "terms": [{"word": w, "num": num, "den": den} for w, num, den in terms],
         }
         (directory / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+    for name, (kind, n) in GENERATED.items():
+        out = str(directory / f"{name}.json")
+        assert main(["poset", "gen", "--kind", kind, "--n", n, "--out", out]) == 0
+    for name, data in UNGRADED.items():
+        (directory / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
 
 
 def _resolve(argv, directory):
-    return [str(directory / f"{a}.json") if a in POLYS else a for a in argv]
+    inputs = {*POLYS, *GENERATED, *UNGRADED}
+    return [str(directory / f"{a}.json") if a in inputs else a for a in argv]
 
 
 def _run(argv, directory, capsys):

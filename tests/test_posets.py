@@ -12,6 +12,7 @@ from posetops.errors import (
     PosetOpsError,
     TooLarge,
 )
+from posetops import posets
 from posetops.posets import (
     GradedPoset,
     Poset,
@@ -65,8 +66,11 @@ def test_cycle_rejected():
 
 
 def test_transitive_cover_rejected():
-    with pytest.raises(PosetOpsError):
-        Poset(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
+    with pytest.raises(PosetOpsError) as error:
+        Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    assert str(error.value) == (
+        "cover ('a', 'c') is implied by a longer path and must not be listed"
+    )
 
 
 def test_leq_on_boolean_square():
@@ -295,6 +299,25 @@ def test_second_kind_member_sizes_on_boolean_cube():
     assert sizes == [8] * 8
     for x, member in members:
         assert is_isomorphic(member, second_kind_member_product(B3, x))
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (interval_poset, 10),  # the intervals of the chain of rank 3
+        (graded_interval_poset, 11),  # and the empty interval
+        (second_kind_transform, 20),  # 1*4 + 2*3 + 3*2 + 4*1
+        (lambda P: direct_product(P, P), 16),
+        (lambda P: diamond_product(P, P), 10),  # 3 * 3 + a new bottom
+    ],
+)
+def test_derived_posets_are_counted_against_the_cap(monkeypatch, build, size):
+    P = chain_poset(3)
+    monkeypatch.setattr(posets, "GENERATION_CAP", size)
+    build(P)
+    monkeypatch.setattr(posets, "GENERATION_CAP", size - 1)
+    with pytest.raises(TooLarge, match=f"^{size} elements exceed the cap of {size - 1}$"):
+        build(P)
 
 
 def test_is_eulerian():

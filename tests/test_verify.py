@@ -1,7 +1,11 @@
+import itertools
 from fractions import Fraction
+from math import perm
 
 import pytest
 
+from posetops import verify
+from posetops.complexes import stellar_subdivide, tchebyshev_triangulation
 from posetops.errors import PosetOpsError
 from posetops.ncpoly import AB, NCPoly
 from posetops.verify import (
@@ -11,6 +15,7 @@ from posetops.verify import (
     case,
     complex_corpus,
     corpus,
+    edge_order_f_vectors,
     interval_ready_corpus,
     random_bounded_subposets,
     run_suite,
@@ -125,3 +130,23 @@ def test_eigen_suite_reports_the_two_known_lift_failures():
     assert all("lift" in text for text in texts)
     assert "boolean 3" in texts[0]
     assert "boolean 4" in texts[1]
+
+
+def test_prefix_walk_finds_the_f_vectors_of_every_edge_order(monkeypatch):
+    calls = []
+
+    def counted(K, edge):
+        calls.append(edge)
+        return stellar_subdivide(K, edge)
+
+    monkeypatch.setattr(verify, "stellar_subdivide", counted)
+    for _, K in complex_corpus():
+        by_permutation = {
+            tuple(tchebyshev_triangulation(K, order).f_vector())
+            for order in itertools.permutations(K.edges())
+        }
+        calls.clear()
+        assert edge_order_f_vectors(K) == by_permutation
+        # one subdivision per nonempty prefix of an order: 1,956 for six edges
+        m = len(K.edges())
+        assert len(calls) == sum(perm(m, d) for d in range(1, m + 1))
