@@ -55,7 +55,10 @@ USAGE_EXIT = 64
 def _emit(data, out_path) -> None:
     """Write the JSON chunk by chunk: the text of a large report is never
     held whole, nor as a list of its pieces."""
-    target = open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
+    try:
+        target = open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
+    except OSError as error:
+        raise PosetOpsError(f"cannot write {out_path}: {error}") from error
     with target as handle:
         json.dump(data, handle, ensure_ascii=False, sort_keys=True, indent=2)
         handle.write("\n")

@@ -278,6 +278,24 @@ def test_out_file_keeps_stdout_quiet(tmp_path, capsys):
     assert terms_by_word(json.loads(text)) == {"a": (1, 1), "b": (1, 1)}
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unopenable_out_path_is_refused(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    argv = ["poset", "gen", "--kind", "chain", "--n", "2", "--out", str(target)]
+    code, out, err = run_cli(capsys, argv)
+    assert_refused(code, out, err)
+    assert "cannot write" in err
+
+
+@pytest.mark.parametrize("op", ["Iab", "iota"])
+def test_op_interval_transforms_refuse_degrees_over_the_cap(tmp_path, capsys, op):
+    poly = tmp_path / "deg13.json"
+    write_poly(poly, "ab", [("b" * 13, 1, 1), ("ab", 1, 1)])
+    code, out, err = run_cli(capsys, ["op", op, "--in", str(poly)])
+    assert_refused(code, out, err)
+    assert "degree 13" in err
+
+
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     argv = ["index", "upsilon", "--kind", "cube", "--n", "2"]
     _, first, _ = run_cli(capsys, argv)

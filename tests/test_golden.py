@@ -27,6 +27,11 @@ POLYS = {
     # degree 5 and 4, non-integral
     "cd_frac": ("cd", [("ccccc", 1, 2), ("cdc", -3, 1), ("ddc", 2, 3)]),
     "cd_small": ("cd", [("cccc", 1, 1), ("cd", 1, 3), ("dd", -2, 1)]),
+    # degree 6, integral
+    "ab_int6": ("ab", [
+        ("aaaaaa", 3, 1), ("aababb", -2, 1), ("abbaab", 5, 1),
+        ("babbba", 1, 1), ("bbabab", -4, 1), ("bbbbbb", 7, 1),
+    ]),
 }
 
 # Poset input files: generated ones as `poset gen` writes them, and one
@@ -52,6 +57,7 @@ CALLS = (
     ]
     + [["index", "cd", "--kind", "chain", "--n", "3"]]
     + [["op", which, "--in", "ab_frac"] for which in ("iota", "Iab", "IIab", "pyr", "lift")]
+    + [["op", which, "--in", "ab_int6"] for which in ("iota", "Iab")]
     + [
         ["op", "Icd", "--in", "cd_frac"],
         ["op", "Icd", "--in", "ab_frac"],
@@ -103,6 +109,9 @@ DIGESTS = {
     "op IIab --in ab_frac": (0, "ae1b24371069eb82bf7cb1e71ebaeb50b382421dee8c35e51b2f111b66c3a3af"),
     "op pyr --in ab_frac": (0, "20210b79d1fc19ce6c9eb75c626c28907271097c53582457b4012da07c48325e"),
     "op lift --in ab_frac": (0, "4ba3478e1e94c4d8e40ba48ed94fcc15c2bc5c9b024cca028f4e00563b410648"),
+    # recorded before `op Iab` became iota between the two basis changes
+    "op iota --in ab_int6": (0, "d793a6b4085704613127013310ea08a5cb3bc48d3dc97c5d2fa7071c82939ce7"),
+    "op Iab --in ab_int6": (0, "ab0be59a87c27c5584b16ed9660946ca669b7f552983590f99dbbef5a729a083"),
     "op Icd --in cd_frac": (0, "e4816941b534e1951370bfdda00d0339efb2865211d13356c6f017acc0922701"),
     "op Icd --in ab_frac": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "op M --in ab_frac --in2 ab_small": (0, "d16de9f61f73898cd5a03866a25e9b1d84444ff031e4c4ef64f76a0814a603ad"),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -9,6 +10,7 @@ from posetops.ncpoly import (
     AB,
     CD,
     NCPoly,
+    ab_words,
     cd_ce_convert,
     expand_cd,
     monomial,
@@ -16,6 +18,8 @@ from posetops.ncpoly import (
     unit,
 )
 from posetops.operators import (
+    INTERVAL_MAX_DEGREE,
+    _ab_coproduct_word,
     _quasi_shuffle,
     ab_interval_transform,
     cd_interval_transform,
@@ -240,6 +244,21 @@ def test_ab_interval_transform_matches_interval_poset_index():
         lhs = ab_index(graded_interval_poset(P))
         rhs = ab_interval_transform(ab_index(P))
         assert lhs == rhs
+
+
+def test_interval_transforms_refuse_degrees_over_the_cap():
+    assert INTERVAL_MAX_DEGREE == 12
+    top = monomial(AB, "b" * 12)
+    assert upsilon_interval_transform(top).degree() == 13
+    assert ab_interval_transform(top) == ab_interval_by_words(top)
+    over = monomial(AB, "b" * 13)
+    for transform in (upsilon_interval_transform, ab_interval_transform):
+        with pytest.raises(TooLarge):
+            transform(over)
+        with pytest.raises(TooLarge):
+            transform(over + top)
+    with pytest.raises(PosetOpsError):
+        ab_interval_transform(unit(CD))
 
 
 def test_cd_interval_transform_small_words():
@@ -632,3 +651,46 @@ def test_mixing_ab_matches_the_word_pair_route():
 def test_second_kind_ab_matches_the_coproduct_term_route():
     for p in random_ab_polys(2021, 16):
         assert second_kind_ab_transform(p) == second_kind_ab_by_coproduct_terms(p), p
+
+
+_A_PLUS_B = NCPoly(AB, {"a": 1, "b": 1})
+_AB_PLUS_BA = NCPoly(AB, {"ab": 1, "ba": 1})
+
+
+@cache
+def _ab_interval_word(word: str) -> NCPoly:
+    if not word:
+        return _A_PLUS_B
+    u, last = word[:-1], word[-1]
+    u_star = monomial(AB, u[::-1])
+    inner = monomial(AB, "ab" if last == "a" else "ba")
+    result = _ab_interval_word(u) * monomial(AB, last) + _AB_PLUS_BA * u_star
+    for (u1, u2), coeff in _ab_coproduct_word(u).items():
+        piece = _ab_interval_word(u2) * inner * monomial(AB, u1[::-1])
+        result = result + piece.scaled(coeff)
+    return result
+
+
+def ab_interval_by_words(p):
+    """Iab by its own recursion on ab-words, peeling the last letter, with
+    no change of basis."""
+    total = NCPoly(AB)
+    for word, coeff in p.terms.items():
+        total = total + _ab_interval_word(word).scaled(coeff)
+    return total
+
+
+def test_ab_interval_transform_matches_the_ab_recursion_on_every_word():
+    for n in range(10):
+        for word in ab_words(n):
+            p = monomial(AB, word)
+            assert ab_interval_transform(p) == ab_interval_by_words(p), word
+
+
+def test_ab_interval_transform_matches_the_ab_recursion_on_dense_polys():
+    rng = random.Random(1994)
+    for n, den in ((7, 1), (8, 5), (9, 1)):
+        p = ab({w: Fraction(rng.randint(-9, 9) or 1, den) for w in ab_words(n)})
+        assert len(p.terms) == 2**n
+        assert (den > 1) == any(c.denominator > 1 for c in p.terms.values())
+        assert ab_interval_transform(p) == ab_interval_by_words(p), n
