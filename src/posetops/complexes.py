@@ -95,13 +95,6 @@ X = UnivariatePoly([0, 1])
 ONE = UnivariatePoly([1])
 
 
-def compose(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
-    out = UnivariatePoly()
-    for c in reversed(p.coeffs):
-        out = out * q + UnivariatePoly([c])
-    return out
-
-
 def chebyshev_T(n: int) -> UnivariatePoly:
     return _chebyshev(n, 1)
 
@@ -127,13 +120,6 @@ def cheb_transform_T(p: UnivariatePoly) -> UnivariatePoly:
     out = UnivariatePoly()
     for n, c in enumerate(p.coeffs):
         out = out + c * chebyshev_T(n)
-    return out
-
-
-def cheb_transform_U(p: UnivariatePoly) -> UnivariatePoly:
-    out = UnivariatePoly()
-    for n, c in enumerate(p.coeffs):
-        out = out + c * chebyshev_U(n)
     return out
 
 
@@ -221,14 +207,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max(len(f) for f in self.faces) - 1
 
-    def facets(self):
-        ordered = sorted(self.faces, key=lambda f: (-len(f), tuple(sorted(f))))
-        maximal = []
-        for face in ordered:
-            if not any(face < other for other in maximal):
-                maximal.append(face)
-        return sorted(maximal, key=lambda f: tuple(sorted(f)))
-
     def f_vector(self):
         counts = [0] * (self.dim + 2)
         for face in self.faces:
@@ -246,22 +224,6 @@ def F_polynomial(K: SimplicialComplex) -> UnivariatePoly:
     for count in K.f_vector():
         out = out + count * power
         power = power * half_shift
-    return out
-
-
-def h_polynomial(K: SimplicialComplex) -> UnivariatePoly:
-    d = K.dim + 1
-    t = X
-    one_minus_t = UnivariatePoly([1, -1])
-    out = UnivariatePoly()
-    fv = K.f_vector()
-    for j in range(d + 1):
-        term = UnivariatePoly([fv[j]]) if j < len(fv) else UnivariatePoly()
-        for _ in range(j):
-            term = term * t
-        for _ in range(d - j):
-            term = term * one_minus_t
-        out = out + term
     return out
 
 
@@ -413,21 +375,3 @@ def order_complex_of_intervals_check(P: Poset, edge_order=None) -> bool:
     renamed = {frozenset(rename[v] for v in f) for f in subdivided.faces}
     target = order_complex(interval_poset(P))
     return renamed == target.faces
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def complex_to_dict(K: SimplicialComplex) -> dict:
-    return {
-        "vertices": list(K.vertices),
-        "facets": [sorted(f) for f in K.facets()],
-    }
-
-
-def complex_from_dict(data: dict) -> SimplicialComplex:
-    K = SimplicialComplex.from_facets(data["facets"])
-    given = sorted(data["vertices"])
-    if list(K.vertices) != given:
-        raise PosetOpsError("vertex list disagrees with the facets")
-    return K

@@ -66,9 +66,5 @@ class NotHomogeneous(PosetOpsError):
     """The operation requires a homogeneous polynomial."""
 
 
-class OddEPower(PosetOpsError):
-    """Rewriting e-words in c and d needs every run of e's to have even length."""
-
-
 class DegreeMismatch(PosetOpsError):
     """The requested coefficient does not exist at this degree."""

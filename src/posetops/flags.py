@@ -147,14 +147,14 @@ def ab_index(P: GradedPoset) -> NCPoly:
 
 def cd_index(P: GradedPoset) -> NCPoly:
     """Rewrite the ab-index in c = a+b and d = ab+ba; raises NotExpressible
-    for non-Eulerian flag data.  The Upsilon route (the flag polynomial in
-    c = a+2b, d = ab+ba+2bb) lands on the same polynomial; the tests check
-    that on the Eulerian members of the verify corpus."""
+    for non-Eulerian flag data.  The tests check the result on the verify
+    corpus by a second route: under c = a+2b, d = ab+ba+2bb it must expand
+    to the flag polynomial."""
     return rewrite_ab_to_cd(ab_index(P))
 
 
 def ce_index(P: GradedPoset) -> NCPoly:
-    return cd_ce_convert(cd_index(P), "ce")
+    return cd_ce_convert(cd_index(P))
 
 
 def flag_to_dict(fv: FlagFVector) -> dict:
@@ -163,8 +163,3 @@ def flag_to_dict(fv: FlagFVector) -> dict:
         "counts": [{"S": list(S), "f": f} for S, f in fv.sorted_items()],
     }
 
-
-def flag_from_dict(data: dict) -> FlagFVector:
-    n = data["n"]
-    counts = {_rank_mask(n, e["S"]): e["f"] for e in data["counts"]}
-    return FlagFVector(n, {mask: f for mask, f in counts.items() if f})

@@ -4,10 +4,9 @@ Words are plain strings.  A coefficient is an int while it is integral and
 a fractions.Fraction otherwise: the constructors bring outside input to
 that form (a Fraction with denominator 1 becomes an int), and arithmetic
 keeps the types it is given.  So flag counts and ab/cd indices stay in int
-arithmetic, and fractions enter only through the ½ of the ce basis and of
-the sym/asym split.  A Fraction that turns integral under arithmetic stays
-a Fraction; it compares and hashes equal to the int and serializes the
-same way.  No floating point enters any computation.  In the cd alphabet
+arithmetic, and fractions enter only through the ½ of the ce basis.  A
+Fraction that turns integral under arithmetic stays a Fraction; it
+compares and hashes equal to the int and serializes the same way.  No floating point enters any computation.  In the cd alphabet
 the letter d carries degree 2 (so the expansions c -> a+b, d -> ab+ba
 preserve degree); every other letter carries degree 1.  The empty word is
 the multiplicative unit.
@@ -18,13 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .errors import (
-    AlphabetMismatch,
-    MissingImage,
-    NotExpressible,
-    NotHomogeneous,
-    OddEPower,
-)
+from .errors import AlphabetMismatch, MissingImage, NotExpressible, NotHomogeneous
 
 AB = "ab"
 CD = "cd"
@@ -59,14 +52,8 @@ def word_degree(alphabet: str, word: str) -> int:
     return len(word)
 
 
-def _word_key(alphabet: str, word: str):
-    # canonical term order: letter count first, then lexicographic
-    return (len(word), word)
-
-
-class _Combination:
-    """Exact nonzero coefficients on the keys (words or word pairs) of one
-    alphabet; the part NCPoly and TensorPoly share."""
+class NCPoly:
+    """A finite rational linear combination of words over one alphabet."""
 
     __slots__ = ("alphabet", "terms")
 
@@ -74,10 +61,13 @@ class _Combination:
         if alphabet not in _LETTERS:
             raise ValueError(f"unknown alphabet {alphabet!r}")
         letters = _LETTERS[alphabet]
-        items = [
-            (self._key(letters, alphabet, key), _coefficient(coeff))
-            for key, coeff in (terms.items() if isinstance(terms, dict) else terms)
-        ]
+        items = []
+        for word, coeff in terms.items() if isinstance(terms, dict) else terms:
+            if not letters.issuperset(word):
+                raise AlphabetMismatch(
+                    f"word {word!r} is not over the {alphabet!r} alphabet"
+                )
+            items.append((word, _coefficient(coeff)))
         self.alphabet = alphabet
         self.terms = _accumulate({}, items)
 
@@ -99,20 +89,6 @@ class _Combination:
 
     def __hash__(self):
         return hash((self.alphabet, frozenset(self.terms.items())))
-
-
-class NCPoly(_Combination):
-    """A finite rational linear combination of words over one alphabet."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key(letters, alphabet, word):
-        if not letters.issuperset(word):
-            raise AlphabetMismatch(
-                f"word {word!r} is not over the {alphabet!r} alphabet"
-            )
-        return word
 
     # -- basic structure ---------------------------------------------------
 
@@ -144,9 +120,8 @@ class NCPoly(_Combination):
         return _coefficient(sum(self.terms.values()))
 
     def sorted_items(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: _word_key(self.alphabet, kv[0])
-        )
+        """Terms by letter count, then lexicographically."""
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -232,34 +207,6 @@ def _apply_wordwise(p: NCPoly, image, alphabet: str) -> NCPoly:
             ),
         ),
     )
-
-
-class TensorPoly(_Combination):
-    """Rational combination of word pairs w1 (x) w2 over one alphabet."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key(letters, alphabet, pair):
-        w1, w2 = pair
-        if not (letters.issuperset(w1) and letters.issuperset(w2)):
-            raise AlphabetMismatch(f"pair {pair!r} is not over {alphabet!r}")
-        return (w1, w2)
-
-    def sorted_items(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (
-                _word_key(self.alphabet, kv[0][0]),
-                _word_key(self.alphabet, kv[0][1]),
-            ),
-        )
-
-    def __repr__(self):
-        bits = [
-            f"{c}*({w1 or '1'} (x) {w2 or '1'})" for (w1, w2), c in self.sorted_items()
-        ]
-        return f"TensorPoly({self.alphabet}: " + (" + ".join(bits) or "0") + ")"
 
 
 # -- substitution ------------------------------------------------------------
@@ -363,53 +310,40 @@ _PSI_IMAGES = {
     "c": NCPoly(AB, {"a": 1, "b": 1}),
     "d": NCPoly(AB, {"ab": 1, "ba": 1}),
 }
-_UPSILON_IMAGES = {
-    "c": NCPoly(AB, {"a": 1, "b": 2}),
-    "d": NCPoly(AB, {"ab": 1, "ba": 1, "bb": 2}),
-}
-_CONVENTIONS = {"Psi": _PSI_IMAGES, "Upsilon": _UPSILON_IMAGES}
 
 
-def expand_cd_word(word: str, convention: str = "Psi") -> NCPoly:
+def expand_cd_word(word: str) -> NCPoly:
     """Expansion of one cd-word into the ab alphabet."""
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    return NCPoly._wrap(AB, dict(_expand_cd_word(word, convention).terms))
+    return NCPoly._wrap(AB, dict(_expand_cd_word(word).terms))
 
 
 @cache
-def _expand_cd_word(word: str, convention: str) -> NCPoly:
-    return substitute(NCPoly(CD, {word: 1}), _CONVENTIONS[convention])
+def _expand_cd_word(word: str) -> NCPoly:
+    return substitute(NCPoly(CD, {word: 1}), _PSI_IMAGES)
 
 
-def expand_cd(p: NCPoly, convention: str = "Psi") -> NCPoly:
+def expand_cd(p: NCPoly) -> NCPoly:
     """Expansion of a cd-polynomial into the ab alphabet."""
     if p.alphabet != CD:
         raise AlphabetMismatch("expand_cd expects a cd-polynomial")
-    return _apply_wordwise(p, lambda w: expand_cd_word(w, convention), AB)
+    return _apply_wordwise(p, expand_cd_word, AB)
 
 
-def rewrite_ab_to_cd(p: NCPoly, convention: str = "Psi") -> NCPoly:
-    """Write a homogeneous ab-polynomial in c and d, exactly.
+def rewrite_ab_to_cd(p: NCPoly) -> NCPoly:
+    """Write a homogeneous ab-polynomial in c = a+b and d = ab+ba, exactly.
 
-    Under "Psi" c = a+b and d = ab+ba; under "Upsilon" c = a+2b and
-    d = ab+ba+2b².  Raises NotExpressible when the input lies outside the
-    span of the cd-monomials (non-Eulerian flag data does this).
+    Raises NotExpressible when the input lies outside the span of the
+    cd-monomials (non-Eulerian flag data does this).
 
-    The first letter is peeled off.  With c = a + g·b and d = ab + ba + h·bb,
-    a cd-polynomial c·p1 + d·p2 of degree n expands to a·A + b·B with
-    A = p1 + b·p2 and B = g·p1 + a·p2 + h·b·p2, so
-    B − g·A = a·p2 + (h − g)·b·p2.  So p2 is read off the words of B − g·A
-    that start with a, the words starting with b must match (h − g)·b·p2,
-    p1 = A − b·p2, and p1 and p2 are rewritten at degrees n − 1 and n − 2.
+    The first letter is peeled off.  A cd-polynomial c·p1 + d·p2 of degree
+    n expands to a·A + b·B with A = p1 + b·p2 and B = p1 + a·p2, so
+    B − A = a·p2 − b·p2.  So p2 is read off the words of B − A that start
+    with a, the words starting with b must match −b·p2, p1 = A − b·p2, and
+    p1 and p2 are rewritten at degrees n − 1 and n − 2.
     """
     if p.alphabet != AB:
         raise AlphabetMismatch("rewrite_ab_to_cd expects an ab-polynomial")
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     n = p.homogeneous_degree()
-    g = _CONVENTIONS[convention]["c"].coefficient("b")
-    h = _CONVENTIONS[convention]["d"].coefficient("bb")
     out: dict[str, object] = {}
 
     def peel(terms: dict, n: int, prefix: str) -> None:
@@ -420,13 +354,11 @@ def rewrite_ab_to_cd(p: NCPoly, convention: str = "Psi") -> NCPoly:
             return
         after_a = {w[1:]: c for w, c in terms.items() if w[0] == "a"}
         rest = {w[1:]: c for w, c in terms.items() if w[0] == "b"}
-        _accumulate(rest, [(w, -g * c) for w, c in after_a.items()])
+        _accumulate(rest, [(w, -c) for w, c in after_a.items()])
         p2 = {w[1:]: c for w, c in rest.items() if w[:1] == "a"}
         b_part = {w: c for w, c in rest.items() if w[:1] != "a"}
-        if b_part != _accumulate({}, (("b" + w, (h - g) * c) for w, c in p2.items())):
-            raise NotExpressible(
-                f"not a cd-polynomial under the {convention} convention"
-            )
+        if b_part != {"b" + w: -c for w, c in p2.items()}:
+            raise NotExpressible("not a cd-polynomial under the Psi convention")
         p1 = _accumulate(after_a, [("b" + w, -c) for w, c in p2.items()])
         peel(p1, n - 1, prefix + "c")
         peel(p2, n - 2, prefix + "d")
@@ -436,49 +368,25 @@ def rewrite_ab_to_cd(p: NCPoly, convention: str = "Psi") -> NCPoly:
 
 
 _D_AS_CE = NCPoly(CE, {"cc": Fraction(1, 2), "ee": Fraction(-1, 2)})
-_EE_AS_CD = NCPoly(CD, {"cc": 1, "d": -2})
 
 
-def _ce_word_as_cd(word: str) -> NCPoly:
-    piece = unit(CD)
-    run = 0
-    for letter in word + "c":  # sentinel flushes a trailing e-run
-        if letter == "e":
-            run += 1
-            continue
-        if run % 2:
-            raise OddEPower(f"odd run of e's in {word!r}")
-        for _ in range(run // 2):
-            piece = piece * _EE_AS_CD
-        run = 0
-        piece = piece * monomial(CD, "c")
-    # drop the sentinel letter c from the right of every word
-    return NCPoly._wrap(CD, {w[:-1]: c for w, c in piece.terms.items()})
-
-
-def cd_ce_convert(p: NCPoly, target: str) -> NCPoly:
-    """Rewrite between the cd and ce alphabets using e² = c² − 2d.
-
-    target="ce" accepts any cd-polynomial.  target="cd" needs every maximal
-    run of e's to have even length and raises OddEPower otherwise.
-    """
-    if target == "ce":
-        if p.alphabet != CD:
-            raise AlphabetMismatch("conversion to ce expects a cd-polynomial")
-        return substitute(p, {"c": monomial(CE, "c"), "d": _D_AS_CE})
-    if target == "cd":
-        if p.alphabet != CE:
-            raise AlphabetMismatch("conversion to cd expects a ce-polynomial")
-        return _apply_wordwise(p, _ce_word_as_cd, CD)
-    raise ValueError(f"target must be 'ce' or 'cd', got {target!r}")
+def cd_ce_convert(p: NCPoly) -> NCPoly:
+    """Rewrite a cd-polynomial in the ce alphabet using e² = c² − 2d."""
+    if p.alphabet != CD:
+        raise AlphabetMismatch("conversion to ce expects a cd-polynomial")
+    return substitute(p, {"c": monomial(CE, "c"), "d": _D_AS_CE})
 
 
 # -- coproducts ---------------------------------------------------------------
 
 @cache
 def _cd_coproduct_word(word: str) -> dict[tuple[str, str], int]:
-    """The cd coproduct of one word, by recursion on its last letter.  The
-    memo hands its dicts to every caller, and none of them writes to one."""
+    """The coproduct (delete one letter and split there, summed over all
+    positions) of the expansion of one cd-word, written back in c and d, by
+    the recursion on its last letter of Ehrenborg and Readdy ("Coproducts
+    and the cd-index", 1998).  The tests check that it expands to the ab
+    coproduct.  The memo hands its dicts to every caller, and none of them
+    writes to one."""
     if not word:
         return {}
     head, last = word[:-1], word[-1]
@@ -494,67 +402,7 @@ def _cd_coproduct_word(word: str) -> dict[tuple[str, str], int]:
     return result
 
 
-def _split_words(p: NCPoly, letters: str) -> TensorPoly:
-    """Delete one letter from `letters` and split there, summed over all
-    positions of all words of p."""
-    return TensorPoly._wrap(
-        p.alphabet,
-        _accumulate(
-            {},
-            (
-                ((w[:i], w[i + 1 :]), c)
-                for w, c in p.terms.items()
-                for i, letter in enumerate(w)
-                if letter in letters
-            ),
-        ),
-    )
-
-
-def coproduct_delta(p: NCPoly) -> TensorPoly:
-    """Delete one letter and split there, summed over all positions.
-
-    On ab-polynomials this is computed directly.  On cd-polynomials it is
-    the recursion on the last cd-letter (Ehrenborg–Readdy); that it expands
-    to the ab coproduct of the expanded input is checked in the tests.
-    """
-    if p.alphabet == AB:
-        return _split_words(p, "ab")
-    if p.alphabet == CD:
-        return TensorPoly._wrap(
-            CD,
-            _accumulate(
-                {},
-                (
-                    (key, c * k)
-                    for w, c in p.terms.items()
-                    for key, k in _cd_coproduct_word(w).items()
-                ),
-            ),
-        )
-    raise AlphabetMismatch("coproduct is defined on ab and cd polynomials")
-
-
-def coproduct_delta_prime(p: NCPoly) -> TensorPoly:
-    """Split at each b (removing it); zero on words without b."""
-    if p.alphabet != AB:
-        raise AlphabetMismatch("coproduct_delta_prime expects an ab-polynomial")
-    return _split_words(p, "b")
-
-
-# -- symmetric / antisymmetric decomposition ----------------------------------
-
-
-def sym_asym_split(p: NCPoly, n: int) -> tuple[NCPoly, NCPoly]:
-    """Split a degree-n ab-polynomial into reversal-even and -odd parts."""
-    if p.alphabet != AB:
-        raise AlphabetMismatch("sym_asym_split expects an ab-polynomial")
-    deg = p.homogeneous_degree()
-    if deg is not None and deg != n:
-        raise NotHomogeneous(f"expected degree {n}, found {deg}")
-    half = Fraction(1, 2)
-    rev = p.star()
-    return (p + rev).scaled(half), (p - rev).scaled(half)
+# -- the reversal-antisymmetric space -----------------------------------------
 
 
 def asym_basis(n: int) -> list[NCPoly]:

@@ -15,10 +15,9 @@ index covers of their input to the routine directly.
 Derived posets are counted from the masks before they are built (the
 intervals of P number the sum of |up[x]|, a product |P|·|Q|, and all
 second-kind members together the sum of |down[x]|·|up[x]|) and refused
-with TooLarge above GENERATION_CAP elements, the cap of the generators.
+with TooLarge above GENERATION_CAP elements, the cap of the generators and
+of poset files.
 """
-
-from functools import cache
 
 from .errors import (
     CycleDetected,
@@ -240,7 +239,7 @@ class GradedPoset(Poset):
 
 def boolean_lattice(n: int) -> GradedPoset:
     """The lattice of subsets of {1..n}, labeled like "{1,3}"."""
-    _check_size(n, 2**n)
+    _check_size(n, lambda n: 2**n)
     subsets = []
     for size in range(n + 1):
         level = [s for s in _subsets(n) if len(s) == size]
@@ -264,14 +263,14 @@ def _subsets(n: int):
 
 def chain_poset(n: int) -> GradedPoset:
     """A chain of rank n with labels "0" through str(n)."""
-    _check_size(n, n + 1)
+    _check_size(n, lambda n: n + 1)
     labels = [str(i) for i in range(n + 1)]
     return GradedPoset(labels, [(str(i), str(i + 1)) for i in range(n)])
 
 
 def ladder_poset(n: int) -> GradedPoset:
     """Rank n+1, two elements per middle rank, consecutive ranks fully joined."""
-    _check_size(n, 2 * n + 2)
+    _check_size(n, lambda n: 2 * n + 2)
     labels = ["0̂"]
     for k in range(1, n + 1):
         labels += [f"+{k}", f"-{k}"]
@@ -287,7 +286,7 @@ def ladder_poset(n: int) -> GradedPoset:
 
 def cube_lattice(n: int) -> GradedPoset:
     """Face lattice of the n-cube: words over 0/1/* plus a bottom face."""
-    _check_size(n, 3**n + 1)
+    _check_size(n, lambda n: 3**n + 1)
     words = [""]
     for _ in range(n):
         words = [w + ch for w in words for ch in "01*"]
@@ -308,7 +307,7 @@ def crosspolytope_lattice(n: int) -> GradedPoset:
     Proper faces are sets of signs on disjoint coordinates; the label for
     {+1, -3} is "{+1,-3}".  A full face "⊤" is adjoined on top.
     """
-    _check_size(n, 3**n + 1)
+    _check_size(n, lambda n: 3**n + 1)
     faces = [()]
     for x in range(1, n + 1):
         faces += [f + (s * x,) for f in faces for s in (1, -1)]
@@ -351,10 +350,15 @@ def generate(kind: str, n: int) -> GradedPoset:
     return _GENERATORS[key](n)
 
 
-def _check_size(n: int, element_count: int) -> None:
+def _check_size(n: int, element_count) -> None:
+    """Refuse n < 1, and a family of more than GENERATION_CAP elements before
+    building it.  Every family has more than n elements, so a larger n is
+    refused before element_count(n), which can have millions of digits, is
+    computed; the message leaves the count out for the same reason."""
     if n < 1:
         raise InvalidSize(f"need n >= 1, got {n}")
-    _check_cap(element_count)
+    if n > GENERATION_CAP or element_count(n) > GENERATION_CAP:
+        raise TooLarge(f"n = {n} gives more than the cap of {GENERATION_CAP} elements")
 
 
 def _check_cap(element_count: int) -> None:
@@ -535,29 +539,6 @@ def is_eulerian(P: GradedPoset) -> bool:
     return True
 
 
-@cache
-def _support_chain_count(m: int) -> int:
-    """Chains of nested intervals over a fixed (m+1)-chain that use every
-    chain element as an endpoint, counted by innermost interval and
-    outward extension."""
-    full = (1 << (m + 1)) - 1
-
-    @cache
-    def extend(i: int, j: int, needed: int) -> int:
-        total = 1 if needed == 0 else 0
-        for k in range(i, -1, -1):
-            for l in range(j, m + 1):
-                if (k, l) != (i, j):
-                    total += extend(k, l, needed & ~(1 << k) & ~(1 << l))
-        return total
-
-    count = 0
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            count += extend(i, j, full & ~(1 << i) & ~(1 << j))
-    return count
-
-
 def pell_number(n: int) -> int:
     if n < 0:
         raise InvalidSize(f"need n >= 0, got {n}")
@@ -573,7 +554,10 @@ def count_chains_with_support(P: GradedPoset, support) -> int:
     The support must be a chain running from bottom to top.  The count
     covers the chains of the bottomed interval poset that start at the
     empty interval; the topmost member is forced to be the whole ground
-    set once every support element appears as an endpoint.
+    set once every support element appears as an endpoint.  The count
+    depends only on the length m of the support and is P(m) + P(m+1) in
+    Pell numbers; the pell suite checks that against a recursion that counts
+    those chains over a chain of length m.
     """
     chain = list(support)
     if not chain:
@@ -588,7 +572,8 @@ def count_chains_with_support(P: GradedPoset, support) -> int:
             raise NotAChain(f"{lower!r} is not strictly below {upper!r}")
     if chain[0] != P.bottom or chain[-1] != P.top:
         raise EndpointsNotExtreme("support must run from bottom to top")
-    return _support_chain_count(len(chain) - 1)
+    m = len(chain) - 1
+    return pell_number(m) + pell_number(m + 1)
 
 
 def bottom_to_top_chains(P: GradedPoset, max_length: int):
@@ -739,6 +724,7 @@ def poset_from_dict(data: dict) -> Poset:
     elements = data["elements"]
     if not isinstance(elements, list):
         raise PosetOpsError(f"elements must be a list, not {type(elements).__name__}")
+    _check_cap(len(elements))
     for label in elements:
         if not isinstance(label, str):
             raise PosetOpsError(f"element label {label!r} is not a string")

@@ -4,13 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from posetops.cli import _split_support, main
 from posetops.errors import PosetOpsError
-from posetops.posets import GradedPoset, chain_poset, poset_to_dict
+from posetops.posets import GradedPoset, chain_poset, pell_number, poset_to_dict
 
 
 def run_cli(capsys, argv):
@@ -104,6 +105,17 @@ def test_chains_counts_on_ladder(capsys):
     assert json.loads(out) == 7
 
 
+def test_chains_counts_a_long_support_by_the_closed_form(capsys):
+    support = ",".join(str(i) for i in range(41))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["poset", "chains", "--kind", "chain", "--n", "40", "--support", support]
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert json.loads(out) == pell_number(40) + pell_number(41)
+
+
 def test_chains_needs_a_poset_source(capsys):
     code, out, err = run_cli(capsys, ["poset", "chains", "--support", "x"])
     assert code == 2
@@ -161,6 +173,27 @@ def assert_refused(code, out, err):
 def test_index_refuses_generated_ranks_over_the_cap(capsys, which, kind):
     # rank 40 or 41: the flag vector alone would have 2^39 entries
     assert_refused(*run_cli(capsys, ["index", which, "--kind", kind, "--n", "40"]))
+
+
+@pytest.mark.parametrize("command", [["poset", "gen"], ["index", "flag"]], ids="-".join)
+@pytest.mark.parametrize("kind", ["boolean", "chain", "ladder", "cube", "crosspolytope"])
+def test_generation_refuses_huge_n_before_counting(capsys, command, kind):
+    # 2^n or 3^n at this n has hundreds of millions of digits
+    code, out, err = run_cli(capsys, command + ["--kind", kind, "--n", "1000000000"])
+    assert_refused(code, out, err)
+    assert len(err) < 100 and "cap of 8192" in err
+
+
+def test_poset_files_over_the_generation_cap_are_refused(tmp_path, capsys):
+    labels = [str(i) for i in range(8193)]
+    path = tmp_path / "chain8192.json"
+    path.write_text(
+        json.dumps({"elements": labels, "covers": [list(c) for c in zip(labels, labels[1:])]}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, ["poset", "dual", "--in", str(path)])
+    assert_refused(code, out, err)
+    assert "8193 elements exceed the cap of 8192" in err
 
 
 def _wide_top_poset():
@@ -292,6 +325,18 @@ def test_op_interval_transforms_refuse_degrees_over_the_cap(tmp_path, capsys, op
     poly = tmp_path / "deg13.json"
     write_poly(poly, "ab", [("b" * 13, 1, 1), ("ab", 1, 1)])
     code, out, err = run_cli(capsys, ["op", op, "--in", str(poly)])
+    assert_refused(code, out, err)
+    assert "degree 13" in err
+
+
+def test_op_icd_admits_degree_12_and_refuses_13(tmp_path, capsys):
+    poly = tmp_path / "cd.json"
+    write_poly(poly, "cd", [("d" * 6, 1, 1), ("c" * 12, 1, 1)])
+    code, out, err = run_cli(capsys, ["op", "Icd", "--in", str(poly)])
+    assert code == 0 and err == ""
+    assert {len(t["word"]) + t["word"].count("d") for t in json.loads(out)["terms"]} == {13}
+    write_poly(poly, "cd", [("d" * 6 + "c", 1, 1), ("c", 1, 1)])
+    code, out, err = run_cli(capsys, ["op", "Icd", "--in", str(poly)])
     assert_refused(code, out, err)
     assert "degree 13" in err
 

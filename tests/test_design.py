@@ -5,7 +5,9 @@ list or set that code writes to, or a `global` statement, would be a
 second memo idiom.  Every public module-level callable of a layer module
 is a plain function, so a tracer that rebinds the public names from
 outside (as perfbench/layers.py does, wrapping only FunctionType) still
-sees each call.
+sees each call.  Every public module-level function and class of the
+library modules is used somewhere in the package, so no helper that
+nothing calls grows back.
 """
 
 import ast
@@ -18,6 +20,10 @@ import pytest
 import posetops
 
 LAYERS = ("posets", "flags", "ncpoly", "operators", "complexes", "verify", "cli")
+LIBRARY = ("posets", "flags", "ncpoly", "operators", "complexes")
+# The paper's type B theorem, still to be made executable (see ROADMAP.md),
+# is a statement about a suspension.
+UNUSED_ALLOWED = {"complexes.suspension"}
 PACKAGE_FILES = sorted(Path(posetops.__file__).parent.glob("*.py"))
 MUTATORS = {
     "add",
@@ -108,3 +114,46 @@ def test_public_callables_are_plain_functions(layer):
         and not isinstance(value, FunctionType)
     ]
     assert wrapped == []
+
+
+def _unreferenced(sources: dict) -> list:
+    """The public module-level functions and classes of the LIBRARY modules
+    among `sources` (module name -> text) that no name or attribute in any
+    of the sources reads, outside the definition itself."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    readers: dict[str, list] = {}
+    for tree in trees.values():
+        renamed = {
+            alias.asname: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.asname
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                readers.setdefault(renamed.get(node.id, node.id), []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                readers.setdefault(node.attr, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        if module not in LIBRARY:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            inside = set(map(id, ast.walk(node)))
+            if all(id(reader) in inside for reader in readers.get(node.name, [])):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_every_public_function_and_class_is_used_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_FILES}
+    assert set(_unreferenced(sources)) == UNUSED_ALLOWED
+
+
+def test_the_reference_check_sees_an_unused_helper():
+    helper = "def used():\n    return 1\n\n\ndef unused(n):\n    return unused(n - 1)\n"
+    caller = "from .flags import used as first\n\nVALUE = first()\n"
+    assert _unreferenced({"flags": helper, "cli": caller}) == ["flags.unused"]

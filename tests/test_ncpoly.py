@@ -9,9 +9,9 @@ from posetops.errors import (
     MissingImage,
     NotExpressible,
     NotHomogeneous,
-    OddEPower,
 )
-from posetops.ncpoly import AB, CD, CE, NCPoly, TensorPoly
+from posetops.ncpoly import AB, CD, CE, NCPoly
+from posetops.operators import _ab_coproduct_word
 
 
 def P(alphabet, terms):
@@ -105,23 +105,16 @@ def test_rewrite_rejects_non_eulerian_index():
         ncpoly.rewrite_ab_to_cd(P(AB, {"a": 1}))
 
 
-def test_rewrite_upsilon_convention():
-    assert ncpoly.rewrite_ab_to_cd(P(AB, {"a": 1, "b": 2}), "Upsilon") == P(
-        CD, {"c": 1}
-    )
-
-
 def test_rewrite_requires_homogeneous():
     with pytest.raises(NotHomogeneous):
         ncpoly.rewrite_ab_to_cd(P(AB, {"a": 1, "ab": 1}))
 
 
-def test_rewrite_round_trips_both_conventions():
-    for convention in ("Psi", "Upsilon"):
-        for n in range(0, 8):
-            for w in ncpoly.cd_words(n):
-                p = ncpoly.expand_cd_word(w, convention)
-                assert ncpoly.rewrite_ab_to_cd(p, convention) == P(CD, {w: 1})
+def test_rewrite_round_trips():
+    for n in range(0, 8):
+        for w in ncpoly.cd_words(n):
+            p = ncpoly.expand_cd_word(w)
+            assert ncpoly.rewrite_ab_to_cd(p) == P(CD, {w: 1})
 
 
 def test_cd_word_count_follows_fibonacci():
@@ -137,61 +130,63 @@ def test_memoized_results_are_handed_out_as_copies():
 
 
 def test_d_in_ce_form():
-    assert ncpoly.cd_ce_convert(P(CD, {"d": 1}), "ce") == P(
+    assert ncpoly.cd_ce_convert(P(CD, {"d": 1})) == P(
         CE, {"cc": Fraction(1, 2), "ee": Fraction(-1, 2)}
     )
 
 
 def test_e_fourth_in_cd_form():
-    expected = P(CD, {"cccc": 1, "ccd": -2, "dcc": -2, "dd": 4})
-    assert ncpoly.cd_ce_convert(P(CE, {"eeee": 1}), "cd") == expected
+    # e^4 = (c^2 - 2d)^2
+    cd_form = P(CD, {"cccc": 1, "ccd": -2, "dcc": -2, "dd": 4})
+    assert ncpoly.cd_ce_convert(cd_form) == P(CE, {"eeee": 1})
 
 
 def test_square_lattice_index_in_ce_form():
-    assert ncpoly.cd_ce_convert(P(CD, {"cc": 1, "d": 2}), "ce") == P(
+    assert ncpoly.cd_ce_convert(P(CD, {"cc": 1, "d": 2})) == P(
         CE, {"cc": 2, "ee": -1}
     )
+
+
+def _ce_to_cd(p):
+    """The inverse rewrite, e^2 -> c^2 - 2d, for ce-polynomials whose
+    maximal runs of e's all have even length."""
+    ee = P(CD, {"cc": 1, "d": -2})
+    out = P(CD, {})
+    for word, coeff in p.terms.items():
+        piece = ncpoly.unit(CD)
+        for block in word.replace("ee", "E"):
+            assert block != "e", word
+            piece = piece * (ee if block == "E" else P(CD, {"c": 1}))
+        out = out + piece.scaled(coeff)
+    return out
 
 
 def test_ce_round_trip():
     for n in range(0, 6):
         for w in ncpoly.cd_words(n):
             p = P(CD, {w: Fraction(3, 7)})
-            back = ncpoly.cd_ce_convert(ncpoly.cd_ce_convert(p, "ce"), "cd")
-            assert back == p
-
-
-def test_odd_e_run_rejected():
-    for word in ("e", "ce", "ece", "eece"):
-        with pytest.raises(OddEPower):
-            ncpoly.cd_ce_convert(P(CE, {word: 1}), "cd")
+            assert _ce_to_cd(ncpoly.cd_ce_convert(p)) == p
 
 
 def test_coproduct_on_ab_word():
-    assert ncpoly.coproduct_delta(P(AB, {"ab": 1})) == TensorPoly(
-        AB, {("", "b"): 1, ("a", ""): 1}
-    )
+    assert _ab_coproduct_word("ab") == {("", "b"): 1, ("a", ""): 1}
 
 
 def test_coproduct_of_c():
-    assert ncpoly.coproduct_delta(P(CD, {"c": 1})) == TensorPoly(CD, {("", ""): 2})
+    assert ncpoly._cd_coproduct_word("c") == {("", ""): 2}
 
 
 def test_coproduct_of_c_squared():
-    assert ncpoly.coproduct_delta(P(CD, {"cc": 1})) == TensorPoly(
-        CD, {("", "c"): 2, ("c", ""): 2}
-    )
+    assert ncpoly._cd_coproduct_word("cc") == {("", "c"): 2, ("c", ""): 2}
 
 
 def test_coproduct_of_d():
-    assert ncpoly.coproduct_delta(P(CD, {"d": 1})) == TensorPoly(
-        CD, {("", "c"): 1, ("c", ""): 1}
-    )
+    assert ncpoly._cd_coproduct_word("d") == {("", "c"): 1, ("c", ""): 1}
 
 
 def _tensor_apply_left(t):
     out = {}
-    for (w1, w2), c in t.terms.items():
+    for (w1, w2), c in t.items():
         for i in range(len(w1)):
             key = (w1[:i], w1[i + 1 :], w2)
             out[key] = out.get(key, 0) + c
@@ -200,7 +195,7 @@ def _tensor_apply_left(t):
 
 def _tensor_apply_right(t):
     out = {}
-    for (w1, w2), c in t.terms.items():
+    for (w1, w2), c in t.items():
         for i in range(len(w2)):
             key = (w1, w2[:i], w2[i + 1 :])
             out[key] = out.get(key, 0) + c
@@ -210,41 +205,8 @@ def _tensor_apply_right(t):
 def test_coproduct_is_coassociative_up_to_degree_five():
     for n in range(1, 6):
         for w in ncpoly.ab_words(n):
-            t = ncpoly.coproduct_delta(P(AB, {w: 1}))
+            t = _ab_coproduct_word(w)
             assert _tensor_apply_left(t) == _tensor_apply_right(t)
-
-
-def test_delta_prime_kills_a_powers():
-    for n in range(4):
-        assert ncpoly.coproduct_delta_prime(P(AB, {"a" * n: 1})).terms == {}
-
-
-def test_delta_prime_examples():
-    assert ncpoly.coproduct_delta_prime(P(AB, {"ab": 1})) == TensorPoly(
-        AB, {("a", ""): 1}
-    )
-    assert ncpoly.coproduct_delta_prime(P(AB, {"bb": 1})) == TensorPoly(
-        AB, {("", "b"): 1, ("b", ""): 1}
-    )
-
-
-def test_sym_asym_split_of_ab():
-    sym, asym = ncpoly.sym_asym_split(P(AB, {"ab": 1}), 2)
-    assert sym == P(AB, {"ab": Fraction(1, 2), "ba": Fraction(1, 2)})
-    assert asym == P(AB, {"ab": Fraction(1, 2), "ba": Fraction(-1, 2)})
-
-
-def test_sym_asym_split_of_palindrome():
-    sym, asym = ncpoly.sym_asym_split(P(AB, {"aba": 1}), 3)
-    assert sym == P(AB, {"aba": 1})
-    assert asym.is_zero()
-
-
-def test_sym_asym_split_checks_degree():
-    with pytest.raises(NotHomogeneous):
-        ncpoly.sym_asym_split(P(AB, {"ab": 1}), 3)
-    with pytest.raises(NotHomogeneous):
-        ncpoly.sym_asym_split(P(AB, {"a": 1, "ab": 1}), 2)
 
 
 def test_asym_basis_dimensions():
@@ -252,14 +214,6 @@ def test_asym_basis_dimensions():
         expected = 2 ** (n - 1) - 2 ** ((n - 1) // 2)
         assert len(ncpoly.asym_basis(n)) == expected
     assert len(ncpoly.asym_basis(3)) == 2
-
-
-def test_split_recombines():
-    p = P(AB, {"aab": 3, "bba": Fraction(-1, 2), "aba": 7, "bbb": 1})
-    sym, asym = ncpoly.sym_asym_split(p, 3)
-    assert sym + asym == p
-    assert sym.star() == sym
-    assert asym.star() == -asym
 
 
 def test_serialization_round_trip():
@@ -275,13 +229,28 @@ def test_serialization_orders_by_length_then_word():
     assert words == ["c", "d", "cc"]
 
 
-def _expand_tensor(t):
+def _nonzero(terms):
+    return {key: c for key, c in terms.items() if c}
+
+
+def _expanded_cd_coproduct(p):
+    """The cd recursion on every word of p, both sides expanded to ab."""
     out = {}
-    for (w1, w2), c in t.terms.items():
-        for x1, c1 in ncpoly.expand_cd_word(w1).terms.items():
-            for x2, c2 in ncpoly.expand_cd_word(w2).terms.items():
-                out[x1, x2] = out.get((x1, x2), 0) + c * c1 * c2
-    return TensorPoly(AB, out)
+    for w, c in p.terms.items():
+        for (w1, w2), k in ncpoly._cd_coproduct_word(w).items():
+            for x1, c1 in ncpoly.expand_cd_word(w1).terms.items():
+                for x2, c2 in ncpoly.expand_cd_word(w2).terms.items():
+                    out[x1, x2] = out.get((x1, x2), 0) + c * k * c1 * c2
+    return _nonzero(out)
+
+
+def _ab_coproduct(p):
+    """Delete one letter of every word of p and split there."""
+    out = {}
+    for w, c in p.terms.items():
+        for i in range(len(w)):
+            out[w[:i], w[i + 1 :]] = out.get((w[:i], w[i + 1 :]), 0) + c
+    return _nonzero(out)
 
 
 def test_cd_coproduct_expands_to_the_ab_coproduct():
@@ -289,52 +258,48 @@ def test_cd_coproduct_expands_to_the_ab_coproduct():
     for n in range(0, 8):
         for w in ncpoly.cd_words(n):
             p = P(CD, {w: 1})
-            direct = ncpoly.coproduct_delta(ncpoly.expand_cd(p))
-            assert _expand_tensor(ncpoly.coproduct_delta(p)) == direct, w
+            direct = _ab_coproduct(ncpoly.expand_cd(p))
+            assert _expanded_cd_coproduct(p) == direct, w
     p = P(CD, {"cdc": Fraction(2, 3), "ddc": -5, "ccccc": 1})
-    assert _expand_tensor(ncpoly.coproduct_delta(p)) == ncpoly.coproduct_delta(
-        ncpoly.expand_cd(p)
-    )
+    assert _expanded_cd_coproduct(p) == _ab_coproduct(ncpoly.expand_cd(p))
 
 
 def test_peeled_rewrite_against_elimination():
     # independent oracle: p is a cd-polynomial exactly when appending it to
     # the expanded cd-words does not raise the rank
     rng = random.Random(7)
-    for convention in ("Psi", "Upsilon"):
-        for n in range(0, 8):
-            basis = [ncpoly.expand_cd_word(w, convention) for w in ncpoly.cd_words(n)]
-            columns = [q.terms for q in basis]
-            rank = ncpoly.matrix_rank(columns)
-            words = ncpoly.ab_words(n)
-            for _ in range(3):
-                combo = P(AB, {})
-                for q in basis:
-                    r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    combo = combo + q.scaled(r)
-                bump = P(AB, {rng.choice(words): rng.choice([1, -1, Fraction(1, 2)])})
-                for p in (combo, combo + bump):
-                    expressible = ncpoly.matrix_rank(columns + [p.terms]) == rank
-                    try:
-                        q = ncpoly.rewrite_ab_to_cd(p, convention)
-                    except NotExpressible:
-                        assert not expressible, (convention, p)
-                        continue
-                    assert expressible, (convention, p)
-                    assert ncpoly.expand_cd(q, convention) == p
+    for n in range(0, 8):
+        basis = [ncpoly.expand_cd_word(w) for w in ncpoly.cd_words(n)]
+        columns = [q.terms for q in basis]
+        rank = ncpoly.matrix_rank(columns)
+        words = ncpoly.ab_words(n)
+        for _ in range(3):
+            combo = P(AB, {})
+            for q in basis:
+                r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                combo = combo + q.scaled(r)
+            bump = P(AB, {rng.choice(words): rng.choice([1, -1, Fraction(1, 2)])})
+            for p in (combo, combo + bump):
+                expressible = ncpoly.matrix_rank(columns + [p.terms]) == rank
+                try:
+                    q = ncpoly.rewrite_ab_to_cd(p)
+                except NotExpressible:
+                    assert not expressible, p
+                    continue
+                assert expressible, p
+                assert ncpoly.expand_cd(q) == p
 
 
 def test_peeled_rewrite_refuses_low_degrees():
-    for convention in ("Psi", "Upsilon"):
-        assert ncpoly.rewrite_ab_to_cd(P(AB, {"": Fraction(3, 2)}), convention) == P(
-            CD, {"": Fraction(3, 2)}
-        )
-        assert ncpoly.rewrite_ab_to_cd(P(AB, {}), convention) == P(CD, {})
-        for p in (P(AB, {"a": 1}), P(AB, {"b": 1}), P(AB, {"a": 1, "b": -1})):
-            with pytest.raises(NotExpressible):
-                ncpoly.rewrite_ab_to_cd(p, convention)
+    assert ncpoly.rewrite_ab_to_cd(P(AB, {"": Fraction(3, 2)})) == P(
+        CD, {"": Fraction(3, 2)}
+    )
+    assert ncpoly.rewrite_ab_to_cd(P(AB, {})) == P(CD, {})
+    for p in (P(AB, {"a": 1}), P(AB, {"b": 1}), P(AB, {"a": 1, "b": -1})):
         with pytest.raises(NotExpressible):
-            ncpoly.rewrite_ab_to_cd(P(AB, {"ab": 1}), convention)
+            ncpoly.rewrite_ab_to_cd(p)
+    with pytest.raises(NotExpressible):
+        ncpoly.rewrite_ab_to_cd(P(AB, {"ab": 1}))
 
 
 def test_coefficients_are_int_while_integral():

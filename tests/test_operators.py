@@ -12,6 +12,7 @@ from posetops.ncpoly import (
     NCPoly,
     ab_words,
     cd_ce_convert,
+    cd_words,
     expand_cd,
     monomial,
     substitute,
@@ -261,6 +262,23 @@ def test_interval_transforms_refuse_degrees_over_the_cap():
         ab_interval_transform(unit(CD))
 
 
+def test_cd_interval_transform_refuses_degrees_over_the_cap():
+    top = monomial(CD, "c" * 12)
+    expected = {
+        w: ladder_interval_coefficient(12, [len(run) for run in w.split("d")])
+        for w in cd_words(13)
+    }
+    assert cd_interval_transform(top) == cd(expected)
+    assert cd_interval_transform(monomial(CD, "d" * 6)).degree() == 13
+    for over in (monomial(CD, "c" * 13), monomial(CD, "d" * 6 + "c")):
+        with pytest.raises(TooLarge):
+            cd_interval_transform(over)
+        with pytest.raises(TooLarge):
+            cd_interval_transform(over + top)
+    with pytest.raises(PosetOpsError):
+        cd_interval_transform(unit(AB))
+
+
 def test_cd_interval_transform_small_words():
     assert cd_interval_transform(unit(CD)) == cd({"c": 1})
     assert cd_interval_transform(monomial(CD, "c")) == cd({"cc": 1, "d": 2})
@@ -303,7 +321,7 @@ def test_second_kind_ab_small_values():
 def test_second_kind_cd_small_values():
     assert second_kind_cd_transform(monomial(CD, "c")) == cd({"c": 4})
     assert second_kind_cd_transform(monomial(CD, "cc")) == cd({"cc": 6, "d": 4})
-    in_ce = cd_ce_convert(second_kind_cd_transform(monomial(CD, "cc")), "ce")
+    in_ce = cd_ce_convert(second_kind_cd_transform(monomial(CD, "cc")))
     assert in_ce == NCPoly("ce", {"cc": 8, "ee": -2})
 
 
@@ -406,7 +424,7 @@ def test_delannoy_ce_coefficients():
 def test_delannoy_ce_form_depends_only_on_pair_count():
     for i in range(3):
         for j in range(3):
-            in_ce = cd_ce_convert(delannoy_mixing(i, j), "ce")
+            in_ce = cd_ce_convert(delannoy_mixing(i, j))
             for word, coeff in in_ce.terms.items():
                 es = word.count("e")
                 assert es % 2 == 0
@@ -467,13 +485,13 @@ def test_ladder_second_kind_ce_coefficients():
 
 def test_gamma_totals():
     for n in range(1, 5):
-        in_ce = cd_ce_convert(second_kind_cd_transform(monomial(CD, "c" * n)), "ce")
+        in_ce = cd_ce_convert(second_kind_cd_transform(monomial(CD, "c" * n)))
         assert in_ce.coefficient_total() == 2 * (n + 1)
 
 
 def test_second_kind_ce_form_of_chain_powers():
     for n in range(1, 5):
-        in_ce = cd_ce_convert(second_kind_cd_transform(monomial(CD, "c" * n)), "ce")
+        in_ce = cd_ce_convert(second_kind_cd_transform(monomial(CD, "c" * n)))
         seen_by_r = {}
         for word, coeff in in_ce.terms.items():
             # every word must factor into single c's and adjacent ee pairs

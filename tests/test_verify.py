@@ -8,6 +8,7 @@ from posetops import verify
 from posetops.complexes import stellar_subdivide, tchebyshev_triangulation
 from posetops.errors import PosetOpsError
 from posetops.ncpoly import AB, NCPoly
+from posetops.posets import chain_poset, count_chains_with_support
 from posetops.verify import (
     SUITES,
     base_families,
@@ -150,3 +151,11 @@ def test_prefix_walk_finds_the_f_vectors_of_every_edge_order(monkeypatch):
         # one subdivision per nonempty prefix of an order: 1,956 for six edges
         m = len(K.edges())
         assert len(calls) == sum(perm(m, d) for d in range(1, m + 1))
+
+
+def test_support_chain_recursion_agrees_with_the_closed_form():
+    # the two routes the pell suite compares, on full supports of chains
+    for m in range(1, 13):
+        support = [str(i) for i in range(m + 1)]
+        closed = count_chains_with_support(chain_poset(m), support)
+        assert verify._support_chain_count(m) == closed, m
