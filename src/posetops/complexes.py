@@ -17,128 +17,66 @@ from .errors import (
     TooLarge,
     UnknownVertex,
 )
+from .ncpoly import NCPoly, X, _apply_wordwise, monomial, unit
 from .posets import GradedPoset, Poset
 
 FACE_CAP = 1 << 16
 
 
 # -- univariate polynomials ------------------------------------------------------
+# An f-polynomial is an NCPoly over the one-letter alphabet X: the word
+# "x"·n stands for x^n.
 
 
-class UnivariatePoly:
-    """Exact rational coefficients indexed by degree, trailing zeros trimmed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        vals = [Fraction(c) for c in coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        self.coeffs = tuple(vals)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> Fraction:
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
-        return Fraction(0)
-
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(
-            [self.coefficient(i) + other.coefficient(i) for i in range(size)]
-        )
-
-    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(
-            [self.coefficient(i) - other.coefficient(i) for i in range(size)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, UnivariatePoly):
-            if not self.coeffs or not other.coeffs:
-                return UnivariatePoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, ci in enumerate(self.coeffs):
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-            return UnivariatePoly(out)
-        return UnivariatePoly([c * Fraction(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        value = Fraction(0)
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "UnivariatePoly(0)"
-        parts = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c]
-        return "UnivariatePoly(" + " + ".join(parts) + ")"
+def chebyshev_T(n: int) -> NCPoly:
+    return NCPoly._wrap(X, dict(_chebyshev(n, 1).terms))
 
 
-X = UnivariatePoly([0, 1])
-ONE = UnivariatePoly([1])
-
-
-def chebyshev_T(n: int) -> UnivariatePoly:
-    return _chebyshev(n, 1)
-
-
-def chebyshev_U(n: int) -> UnivariatePoly:
-    return _chebyshev(n, 2)
+def chebyshev_U(n: int) -> NCPoly:
+    return NCPoly._wrap(X, dict(_chebyshev(n, 2).terms))
 
 
 @cache
-def _chebyshev(n: int, first: int) -> UnivariatePoly:
+def _chebyshev(n: int, first: int) -> NCPoly:
     """P_n of P_0 = 1, P_1 = first·x, P_k = 2x·P_(k-1) − P_(k-2): T_n for
     first = 1, U_n for first = 2.  A loop, not a recursion, so no degree
-    meets the recursion limit; values are immutable, so callers share them."""
+    meets the recursion limit.  The memo hands its polynomials to the
+    public wrappers, which copy them."""
     if n < 0:
         raise InvalidSize(f"need n >= 0, got {n}")
-    previous, current = ONE, first * X
+    x = monomial(X, "x")
+    previous, current = unit(X), first * x
     for _ in range(n):
-        previous, current = current, 2 * X * current - previous
+        previous, current = current, 2 * x * current - previous
     return previous
 
 
-def cheb_transform_T(p: UnivariatePoly) -> UnivariatePoly:
-    out = UnivariatePoly()
-    for n, c in enumerate(p.coeffs):
-        out = out + c * chebyshev_T(n)
-    return out
+def cheb_transform_T(p: NCPoly) -> NCPoly:
+    """Image of an x-polynomial under x^n ↦ T_n(x)."""
+    return _apply_wordwise(p, lambda w: chebyshev_T(len(w)), X)
 
 
-def vertex_link_transform(p: UnivariatePoly) -> UnivariatePoly:
+def vertex_link_transform(p: NCPoly) -> NCPoly:
     """Image of the face polynomial under x^n ↦ 2·U_{n-1}(x), n ≥ 1.
 
     This is what the summed face polynomial of the links of the original
     vertices in an edgewise subdivision comes out to; the constant term
     of p does not contribute.
     """
-    out = UnivariatePoly()
-    for n, c in enumerate(p.coeffs):
-        if n >= 1:
-            out = out + 2 * c * chebyshev_U(n - 1)
-    return out
+    return _apply_wordwise(
+        p, lambda w: 2 * chebyshev_U(len(w) - 1) if w else NCPoly(X), X
+    )
 
 
-def univariate_to_dict(p: UnivariatePoly) -> dict:
-    return {"coeffs": [[c.numerator, c.denominator] for c in p.coeffs]}
+def univariate_to_dict(p: NCPoly) -> dict:
+    """The coefficients of an x-polynomial from x^0 up to its degree as
+    [numerator, denominator] pairs, with the zeros NCPoly does not store."""
+    return {
+        "coeffs": [
+            [c.numerator, c.denominator]
+            for c in (p.coefficient("x" * n) for n in range(p.degree() + 1))
+        ]
+    }
 
 
 # -- simplicial complexes --------------------------------------------------------
@@ -217,13 +155,16 @@ class SimplicialComplex:
         return sorted(tuple(sorted(f)) for f in self.faces if len(f) == 2)
 
 
-def F_polynomial(K: SimplicialComplex) -> UnivariatePoly:
-    half_shift = UnivariatePoly([Fraction(-1, 2), Fraction(1, 2)])
-    out = UnivariatePoly()
-    power = ONE
+_HALF_SHIFT = NCPoly(X, {"": Fraction(-1, 2), "x": Fraction(1, 2)})
+
+
+def F_polynomial(K: SimplicialComplex) -> NCPoly:
+    """The sum of f_(k-1)·((x − 1)/2)^k over the f-vector, the empty face first."""
+    out = NCPoly(X)
+    power = unit(X)
     for count in K.f_vector():
         out = out + count * power
-        power = power * half_shift
+        power = power * _HALF_SHIFT
     return out
 
 

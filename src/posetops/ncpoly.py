@@ -1,10 +1,13 @@
-"""Exact noncommutative polynomials over the alphabets {a,b}, {c,d} and {c,e}.
+"""Exact noncommutative polynomials over the alphabets {a,b}, {c,d}, {c,e}
+and {x}.  Over the one-letter alphabet {x} a polynomial is an ordinary
+univariate one: the word "x"·n stands for x^n.
 
 Words are plain strings.  A coefficient is an int while it is integral and
 a fractions.Fraction otherwise: the constructors bring outside input to
 that form (a Fraction with denominator 1 becomes an int), and arithmetic
 keeps the types it is given.  So flag counts and ab/cd indices stay in int
-arithmetic, and fractions enter only through the ½ of the ce basis.  A
+arithmetic, and fractions enter only through the ½ of the ce basis and
+the (x − 1)/2 of face polynomials.  A
 Fraction that turns integral under arithmetic stays a Fraction; it
 compares and hashes equal to the int and serializes the same way.  No floating point enters any computation.  In the cd alphabet
 the letter d carries degree 2 (so the expansions c -> a+b, d -> ab+ba
@@ -22,8 +25,10 @@ from .errors import AlphabetMismatch, MissingImage, NotExpressible, NotHomogeneo
 AB = "ab"
 CD = "cd"
 CE = "ce"
+X = "x"
 
-_LETTERS = {AB: frozenset("ab"), CD: frozenset("cd"), CE: frozenset("ce")}
+# Each alphabet's name spells its letters.
+_LETTERS = {name: frozenset(name) for name in (AB, CD, CE, X)}
 
 
 def _coefficient(c):

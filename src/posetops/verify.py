@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import cache
 
 from .complexes import (
     F_polynomial,
     SimplicialComplex,
-    UnivariatePoly,
     cheb_transform_T,
     order_complex,
     order_complex_of_intervals_check,
@@ -33,12 +31,13 @@ from .complexes import (
     vertex_link_transform,
 )
 from .errors import NotBounded, NotGraded, PosetOpsError
-from .flags import FlagFVector, ab_index, cd_index, flag_to_dict, upsilon
+from .flags import ab_index, cd_index, upsilon
 from .ncpoly import (
     AB,
     CD,
     CE,
     NCPoly,
+    X,
     asym_basis,
     cd_ce_convert,
     cd_words,
@@ -65,8 +64,6 @@ from .operators import (
     upsilon_interval_transform,
 )
 from .posets import (
-    GradedPoset,
-    Poset,
     boolean_lattice,
     bottom_to_top_chains,
     chain_poset,
@@ -82,7 +79,6 @@ from .posets import (
     is_isomorphic,
     ladder_poset,
     pair_label,
-    poset_to_dict,
     second_kind_member_product,
     second_kind_transform,
 )
@@ -194,15 +190,7 @@ def complex_corpus() -> list:
 def canonical(value):
     """JSON-ready canonical form used for exact case comparison."""
     if isinstance(value, NCPoly):
-        return poly_to_dict(value)
-    if isinstance(value, UnivariatePoly):
-        return univariate_to_dict(value)
-    if isinstance(value, FlagFVector):
-        return flag_to_dict(value)
-    if isinstance(value, Poset):
-        return poset_to_dict(value)
-    if isinstance(value, Fraction):
-        return [value.numerator, value.denominator]
+        return univariate_to_dict(value) if value.alphabet == X else poly_to_dict(value)
     if isinstance(value, dict):
         return {str(k): canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -245,32 +233,17 @@ def iota_example_cases() -> list:
     return cases
 
 
-def interval_upsilon_corpus_cases(seed: int = 0) -> list:
-    """Flag-word index of every manageable interval poset, both routes."""
-    cases = []
-    for name, P in interval_ready_corpus(seed):
-        cases.append(
-            case(
-                f"{name}: flag-word index of the bottomed interval poset",
-                upsilon(graded_interval_poset(P)),
-                upsilon_interval_transform(upsilon(P)),
-            )
+def interval_corpus_cases(seed: int, index, transform, index_name: str) -> list:
+    """An index of every manageable bottomed interval poset, both routes:
+    enumerated on the interval poset, and `transform` of the poset's index."""
+    return [
+        case(
+            f"{name}: {index_name} of the bottomed interval poset",
+            index(graded_interval_poset(P)),
+            transform(index(P)),
         )
-    return cases
-
-
-def interval_ab_corpus_cases(seed: int = 0) -> list:
-    """ab-index of every manageable interval poset, both routes."""
-    cases = []
-    for name, P in interval_ready_corpus(seed):
-        cases.append(
-            case(
-                f"{name}: ab-index of the bottomed interval poset",
-                ab_index(graded_interval_poset(P)),
-                ab_interval_transform(ab_index(P)),
-            )
-        )
-    return cases
+        for name, P in interval_ready_corpus(seed)
+    ]
 
 
 def interval_cd_cases(seed: int = 0) -> list:
@@ -492,18 +465,16 @@ def delannoy_cases() -> list:
     for i in range(6):
         for j in range(6):
             length = i + j + 1
-            terms = {}
-            for r in range(length // 2 + 1):
-                coeff = delannoy_ce_coefficient(i, j, r)
-                if coeff:
-                    for word in _ce_block_words(length, r):
-                        terms[word] = coeff
             cases.append(
                 case(
                     f"ce form of the mixing of c^{i} and c^{j} follows the "
                     "binomial pattern",
                     cd_ce_convert(mixed[i, j]),
-                    NCPoly(CE, terms),
+                    NCPoly(CE, {
+                        word: delannoy_ce_coefficient(i, j, r)
+                        for r in range(length // 2 + 1)
+                        for word in _ce_block_words(length, r)
+                    }),
                 )
             )
     two_d_minus_cc = NCPoly(CD, {"d": 2, "cc": -1})
@@ -534,55 +505,46 @@ def ladder_cases() -> list:
     """Closed forms for interval and second-kind transforms of c-powers."""
     cases = []
     for n in range(1, 7):
-        expected = {}
-        for word in cd_words(n + 1):
-            coeff = ladder_interval_coefficient(n, _cd_word_runs(word))
-            if coeff:
-                expected[word] = coeff
         cases.append(
             case(
                 f"interval transform of c^{n} matches the run-product closed form",
                 cd_interval_transform(monomial(CD, "c" * n)),
-                NCPoly(CD, expected),
+                NCPoly(CD, {
+                    word: ladder_interval_coefficient(n, _cd_word_runs(word))
+                    for word in cd_words(n + 1)
+                }),
             )
         )
     for n in range(1, 7):
-        expected = {}
-        for word in cd_words(n):
-            coeff = ladder_second_kind_coefficient(n, _cd_word_runs(word))
-            if coeff:
-                expected[word] = coeff
         cases.append(
             case(
                 f"second-kind transform of c^{n} matches the run-product closed form",
                 second_kind_cd_transform(monomial(CD, "c" * n)),
-                NCPoly(CD, expected),
+                NCPoly(CD, {
+                    word: ladder_second_kind_coefficient(n, _cd_word_runs(word))
+                    for word in cd_words(n)
+                }),
             )
         )
     for n in range(1, 7):
-        terms = {}
-        word_counts_match = True
-        for r in range(n // 2 + 1):
-            words = _ce_block_words(n, r)
-            if len(words) != ce_word_count(n, r):
-                word_counts_match = False
-            coeff = ladder_second_kind_ce_coefficient(n, r)
-            if coeff:
-                for word in words:
-                    terms[word] = coeff
+        pairs = range(n // 2 + 1)
         cases.append(
             case(
                 f"ce form of the second-kind transform of c^{n} is a signed "
                 "power pattern",
                 cd_ce_convert(second_kind_cd_transform(monomial(CD, "c" * n))),
-                NCPoly(CE, terms),
+                NCPoly(CE, {
+                    word: ladder_second_kind_ce_coefficient(n, r)
+                    for r in pairs
+                    for word in _ce_block_words(n, r)
+                }),
             )
         )
         cases.append(
             case(
                 f"ce word count at degree {n} follows the binomial count",
                 True,
-                word_counts_match,
+                all(len(_ce_block_words(n, r)) == ce_word_count(n, r) for r in pairs),
             )
         )
     for n in range(1, 4):
@@ -728,7 +690,7 @@ def triangulation_cases() -> list:
                 cheb_transform_T(F_polynomial(K)),
             )
         )
-        link_sum = UnivariatePoly()
+        link_sum = NCPoly(X)
         for member in second_kind_links(reference, K.vertices):
             link_sum = link_sum + F_polynomial(member)
         cases.append(
@@ -931,8 +893,12 @@ def eigen_cases(seed: int = 0) -> list:
 
 # Each suite maps the seed to its list of cases.
 SUITES = {
-    "iota": lambda seed: iota_example_cases() + interval_upsilon_corpus_cases(seed),
-    "jojic-ab": interval_ab_corpus_cases,
+    "iota": lambda seed: iota_example_cases() + interval_corpus_cases(
+        seed, upsilon, upsilon_interval_transform, "flag-word index"
+    ),
+    "jojic-ab": lambda seed: interval_corpus_cases(
+        seed, ab_index, ab_interval_transform, "ab-index"
+    ),
     "jojic-cd": interval_cd_cases,
     "ii": second_kind_corpus_cases,
     "mixing": lambda seed: (

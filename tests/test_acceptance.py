@@ -18,18 +18,22 @@ multiple of L at all.  It also asserts the kernel and antisymmetric
 dimensions from the suite's degree 1..6 measurements against the README.
 """
 
-from posetops.flags import ab_index
-from posetops.operators import lift, second_kind_ab_transform
+from posetops.flags import ab_index, upsilon
+from posetops.operators import (
+    ab_interval_transform,
+    lift,
+    second_kind_ab_transform,
+    upsilon_interval_transform,
+)
 from posetops.posets import boolean_lattice
 from posetops.verify import (
     canonical,
     case,
     delannoy_cases,
     eigen_cases,
-    interval_ab_corpus_cases,
     interval_complex_cases,
+    interval_corpus_cases,
     interval_eulerian_cases,
-    interval_upsilon_corpus_cases,
     iota_example_cases,
     ladder_cases,
     mixing_poset_cases,
@@ -57,7 +61,9 @@ def test_01_interval_transform_worked_examples():
 
 
 def test_02_interval_index_routes_agree_on_corpus():
-    cases = interval_upsilon_corpus_cases(0) + interval_ab_corpus_cases(0)
+    cases = interval_corpus_cases(
+        0, upsilon, upsilon_interval_transform, "flag-word index"
+    ) + interval_corpus_cases(0, ab_index, ab_interval_transform, "ab-index")
     report(2, "interval-poset index equals the transformed index", cases)
 
 

@@ -320,7 +320,7 @@ def test_unopenable_out_path_is_refused(tmp_path, capsys, where):
     assert "cannot write" in err
 
 
-@pytest.mark.parametrize("op", ["Iab", "iota"])
+@pytest.mark.parametrize("op", ["Iab", "iota", "IIab"])
 def test_op_interval_transforms_refuse_degrees_over_the_cap(tmp_path, capsys, op):
     poly = tmp_path / "deg13.json"
     write_poly(poly, "ab", [("b" * 13, 1, 1), ("ab", 1, 1)])

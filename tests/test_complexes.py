@@ -6,7 +6,6 @@ import pytest
 from posetops.complexes import (
     F_polynomial,
     SimplicialComplex,
-    UnivariatePoly,
     cheb_transform_T,
     chebyshev_T,
     chebyshev_U,
@@ -20,6 +19,7 @@ from posetops.complexes import (
     stellar_subdivide,
     suspension,
     tchebyshev_triangulation,
+    univariate_to_dict,
     vertex_link_transform,
 )
 from posetops.errors import (
@@ -30,6 +30,7 @@ from posetops.errors import (
     TooLarge,
     UnknownVertex,
 )
+from posetops.ncpoly import NCPoly, X
 from posetops.posets import (
     Poset,
     boolean_lattice,
@@ -39,6 +40,11 @@ from posetops.posets import (
     ladder_poset,
 )
 from posetops.verify import complex_corpus
+
+
+def xpoly(coeffs):
+    """The x-polynomial with the given coefficients, from x^0 up."""
+    return NCPoly(X, {"x" * n: c for n, c in enumerate(coeffs)})
 
 
 def point():
@@ -59,21 +65,37 @@ def figure_complex():
 
 
 def test_univariate_poly_basics():
-    p = UnivariatePoly([1, 2, 0, 0])
-    assert p.coeffs == (1, 2)
-    assert p.degree == 1
-    q = UnivariatePoly([0, 1])
-    assert (p * q).coeffs == (0, 1, 2)
-    assert (p + q).coeffs == (1, 3)
-    assert (p - p).coeffs == ()
-    assert p(Fraction(1, 2)) == 2
+    p = xpoly([1, 2, 0, 0])
+    assert p.terms == {"": 1, "x": 2}
+    assert p.degree() == 1
+    q = xpoly([0, 1])
+    assert p * q == xpoly([0, 1, 2])
+    assert p + q == xpoly([1, 3])
+    assert (p - p).is_zero()
+
+
+def test_univariate_to_dict_puts_back_the_zero_coefficients():
+    assert univariate_to_dict(F_polynomial(boundary_triangle())) == {
+        "coeffs": [[1, 4], [0, 1], [3, 4]]
+    }
+    assert univariate_to_dict(xpoly([0, -3, 0, 4])) == {
+        "coeffs": [[0, 1], [-3, 1], [0, 1], [4, 1]]
+    }
+    assert univariate_to_dict(NCPoly(X)) == {"coeffs": []}
 
 
 def test_chebyshev_polynomials():
-    assert chebyshev_T(2).coeffs == (-1, 0, 2)
-    assert chebyshev_T(3).coeffs == (0, -3, 0, 4)
-    assert chebyshev_U(2).coeffs == (-1, 0, 4)
-    assert chebyshev_U(3).coeffs == (0, -4, 0, 8)
+    assert chebyshev_T(2) == xpoly([-1, 0, 2])
+    assert chebyshev_T(3) == xpoly([0, -3, 0, 4])
+    assert chebyshev_U(2) == xpoly([-1, 0, 4])
+    assert chebyshev_U(3) == xpoly([0, -4, 0, 8])
+    for n in range(4):
+        assert chebyshev_T(n).alphabet == chebyshev_U(n).alphabet == X
+
+
+def test_chebyshev_callers_get_their_own_copy():
+    chebyshev_T(2).terms.clear()
+    assert chebyshev_T(2) == xpoly([-1, 0, 2])
 
 
 def test_chebyshev_refuses_negative_degrees():
@@ -84,9 +106,9 @@ def test_chebyshev_refuses_negative_degrees():
 
 
 def test_cheb_transforms():
-    x_squared = UnivariatePoly([0, 0, 1])
-    assert cheb_transform_T(x_squared).coeffs == (-1, 0, 2)
-    one = UnivariatePoly([1])
+    x_squared = xpoly([0, 0, 1])
+    assert cheb_transform_T(x_squared) == xpoly([-1, 0, 2])
+    one = xpoly([1])
     assert cheb_transform_T(one) == one
 
 
@@ -118,14 +140,15 @@ def test_f_vectors():
 
 def test_face_polynomials():
     half = Fraction(1, 2)
-    assert F_polynomial(SimplicialComplex([])) == UnivariatePoly([1])
-    assert F_polynomial(point()) == UnivariatePoly([half, half])
-    assert F_polynomial(single_edge()) == UnivariatePoly(
+    assert F_polynomial(SimplicialComplex([])) == xpoly([1])
+    assert F_polynomial(point()) == xpoly([half, half])
+    assert F_polynomial(single_edge()) == xpoly(
         [Fraction(1, 4), half, Fraction(1, 4)]
     )
-    assert F_polynomial(boundary_triangle()) == UnivariatePoly(
+    assert F_polynomial(boundary_triangle()) == xpoly(
         [Fraction(1, 4), 0, Fraction(3, 4)]
     )
+    assert F_polynomial(point()).alphabet == X
 
 
 def test_link_of_vertex_in_boundary_triangle():
@@ -230,10 +253,10 @@ def test_second_kind_links_of_edge():
     assert len(links) == 2
     for member in links:
         assert member.f_vector() == [1, 1]
-    total = UnivariatePoly()
+    total = NCPoly(X)
     for member in links:
         total = total + F_polynomial(member)
-    assert total == UnivariatePoly([1, 1])
+    assert total == xpoly([1, 1])
     assert total == vertex_link_transform(F_polynomial(single_edge()))
     with pytest.raises(UnknownVertex):
         second_kind_links(T, ["u", "w"])
@@ -248,10 +271,10 @@ def test_second_kind_links_frozen_sums():
     ]
     for K, expected in cases:
         T = tchebyshev_triangulation(K)
-        total = UnivariatePoly()
+        total = NCPoly(X)
         for member in second_kind_links(T, K.vertices):
             total = total + F_polynomial(member)
-        assert total == UnivariatePoly(expected)
+        assert total == xpoly(expected)
         assert total == vertex_link_transform(F_polynomial(K))
 
 
@@ -291,11 +314,11 @@ def test_interval_complex_identity_on_octagon():
     K = order_complex(J, strip_extremes=True)
     assert K.f_vector() == [1, 8, 8]
     lhs = F_polynomial(K)
-    x = UnivariatePoly([0, 1])
+    x = xpoly([0, 1])
     inner = order_complex(boolean_lattice(2), strip_extremes=True)
     rhs = cheb_transform_T(x * F_polynomial(inner))
     assert lhs == rhs
-    assert lhs == UnivariatePoly([-1, 0, 2])
+    assert lhs == xpoly([-1, 0, 2])
 
 
 def test_containment_edge_order_puts_wide_intervals_first():

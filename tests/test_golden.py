@@ -66,6 +66,7 @@ CALLS = (
         ["op", "M", "--in", "ab_small", "--in2", "cd_small"],
         ["op", "delannoy", "--i", "3", "--j", "4"],
         ["verify", "--suite", "delannoy"],
+        ["verify", "--suite", "tcheb-triangulation"],
     ]
     + [
         ["poset", action, "--in", name]
@@ -119,6 +120,8 @@ DIGESTS = {
     "op M --in ab_small --in2 cd_small": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "op delannoy --i 3 --j 4": (0, "b84491efc6301a500a50492e191b600e2fd554d3ee4135ced13ea8f63a570e69"),
     "verify --suite delannoy": (0, "132c11155eceb71256b9df2b7575119881cbb346beb5befb9093ed790935b6d2"),
+    # recorded while f-polynomials were still their own UnivariatePoly class
+    "verify --suite tcheb-triangulation": (0, "ae13f06c8af1e47587494a02100bca6d0984daf9a362434d499c606b919b25a2"),
     # recorded before derived posets were built from index covers
     "poset intervals --in boolean3": (0, "7da1656b10d80d0b796d0d74e6c283130e0355827bbbc12b5ac10a9df9b0dee5"),
     "poset graded-intervals --in boolean3": (0, "b555733a76c3c3050a5ebbf88cace594983d8efafb2289a1caeb6be338af1ae0"),

@@ -262,6 +262,17 @@ def test_interval_transforms_refuse_degrees_over_the_cap():
         ab_interval_transform(unit(CD))
 
 
+def test_second_kind_ab_transform_refuses_degrees_over_the_cap():
+    top = monomial(AB, "b" * 12)
+    assert second_kind_ab_transform(top) == second_kind_ab_by_coproduct_terms(top)
+    over = monomial(AB, "b" * 13)
+    for p in (over, over + top):
+        with pytest.raises(TooLarge):
+            second_kind_ab_transform(p)
+    with pytest.raises(PosetOpsError, match="the transform acts on ab-polynomials"):
+        second_kind_ab_transform(unit(CD))
+
+
 def test_cd_interval_transform_refuses_degrees_over_the_cap():
     top = monomial(CD, "c" * 12)
     expected = {

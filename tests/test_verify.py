@@ -7,7 +7,7 @@ import pytest
 from posetops import verify
 from posetops.complexes import stellar_subdivide, tchebyshev_triangulation
 from posetops.errors import PosetOpsError
-from posetops.ncpoly import AB, NCPoly
+from posetops.ncpoly import AB, NCPoly, X
 from posetops.posets import chain_poset, count_chains_with_support
 from posetops.verify import (
     SUITES,
@@ -78,8 +78,11 @@ def test_complex_corpus_stays_small():
 
 
 def test_canonical_forms():
-    assert canonical(Fraction(-3, 6)) == [-1, 2]
-    assert canonical([Fraction(1, 1), 2]) == [[1, 1], 2]
+    # x-polynomials take the coefficient-list form, zeros included
+    p = NCPoly(X, {"": Fraction(-3, 6), "xx": 1})
+    assert canonical(p) == {"coeffs": [[-1, 2], [0, 1], [1, 1]]}
+    x = NCPoly(X, {"x": Fraction(1, 1)})
+    assert canonical([x, 2]) == [{"coeffs": [[0, 1], [1, 1]]}, 2]
     poly = NCPoly(AB, {"ab": Fraction(2)})
     assert canonical(poly) == canonical(NCPoly(AB, {"ab": Fraction(4, 2)}))
 
