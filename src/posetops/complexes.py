@@ -278,41 +278,3 @@ def order_complex(P: Poset, strip_extremes: bool = False) -> SimplicialComplex:
     for i in indices:
         visit(i, ())
     return SimplicialComplex(faces)
-
-
-def containment_edge_order(P: Poset, edges):
-    """Sort comparable pairs so that wider intervals come first."""
-    graded = isinstance(P, GradedPoset)
-
-    def width(edge):
-        x, y = edge
-        if not P.leq(x, y):
-            x, y = y, x
-        if graded:
-            return P.rank[P.index[y]] - P.rank[P.index[x]]
-        return P.interval_indices(P.index[x], P.index[y]).bit_count()
-
-    return sorted(edges, key=lambda e: (-width(e), e))
-
-
-def order_complex_of_intervals_check(P: Poset, edge_order=None) -> bool:
-    """Compare the order complex of the interval poset with an edgewise
-    subdivision of the order complex of P, identifying [u,u] with u and
-    [u,v] with the midpoint of the edge {u,v}."""
-    from .posets import interval_label, interval_poset
-
-    base = order_complex(P)
-    if edge_order is None:
-        edge_order = containment_edge_order(P, base.edges())
-    subdivided = tchebyshev_triangulation(base, edge_order)
-
-    rename = {}
-    for u in P.labels:
-        rename[u] = interval_label(u, u)
-    for x, y in base.edges():
-        lo, hi = (x, y) if P.leq(x, y) else (y, x)
-        rename[midpoint_label(x, y)] = interval_label(lo, hi)
-
-    renamed = {frozenset(rename[v] for v in f) for f in subdivided.faces}
-    target = order_complex(interval_poset(P))
-    return renamed == target.faces

@@ -18,14 +18,29 @@ The ab-index is the flag polynomial under a -> a-b, done one letter
 position at a time by `ncpoly._change_basis`, the one ab <-> flag routine
 of the package: (n - 1) passes over at most 2^(n - 1) words.
 
+Both read only the order: the ranks P.rank and the down-sets P.down, in
+element numbering, and not the labels.  So each is memoized with
+functools.cache on that pair: `_flag_counts` holds the rank-mask counts
+and `_ab_terms` the ab-index terms, one entry per order structure met in
+the process.  Relabeled posets, and the routes of a check that number
+their elements alike, share one entry.  The public functions stay plain
+functions and hand out copies, so a caller that writes to a result
+cannot change the next one.  The words of the rank masks are kept once
+per rank, by `_mask_words`.
+
 Two caps refuse input that could not finish, with TooLarge: a top rank
 over FLAG_RANK_CAP, since the flag vector of rank n has 2^(n - 1) nonzero
-entries, and more than FLAG_WORK_CAP additions.  Under CPython 3.11 on a
-Xeon core, a chain or ladder of rank 16 takes about a second per index,
-and the boolean lattice of rank 13, the largest that poset generation
-admits, needs 31,960,110 additions and about 3 s.
+entries, and more than FLAG_WORK_CAP additions.  The addition count is
+memoized by `_flag_work` on the same pair, but both caps are compared on
+every call, before the counts are read, and so is the rank check of
+`upsilon`; a cap lowered at run time holds for structures already
+counted.  Under CPython 3.11 on a Xeon core, a chain or ladder of rank 16
+takes about a second per index, and the boolean lattice of rank 13, the
+largest that poset generation admits, needs 31,960,110 additions and
+about 3 s.
 """
 
+from functools import cache
 from itertools import combinations
 
 from .errors import PosetOpsError, TooLarge
@@ -84,27 +99,48 @@ class FlagFVector:
         return f"<FlagFVector n={self.n} with {len(self.counts)} entries>"
 
 
+def _layers(rank: tuple) -> list:
+    """The interior by rank: bit x of layers[r - 1] for each x of rank r."""
+    n = max(rank)
+    layers = [0] * max(n - 1, 0)
+    for x, r in enumerate(rank):
+        if 0 < r < n:
+            layers[r - 1] |= 1 << x
+    return layers
+
+
 def flag_f_vector(P: GradedPoset) -> FlagFVector:
-    """Chain counts by rank mask: the chains topped by an interior x are x
-    alone and x on top of every chain topped by an interior y below x."""
+    """Chain counts by rank mask, after both caps; a copy of the memo's."""
     n = P.top_rank
     if n > FLAG_RANK_CAP:
         raise TooLarge(f"rank {n} exceeds the flag-vector cap of {FLAG_RANK_CAP}")
-    rank = P.rank
-    interior = [x for x in range(len(rank)) if 0 < rank[x] < n]
-    layers = [0] * max(n - 1, 0)  # the interior by rank, bit i for element i
-    for x in interior:
-        layers[rank[x] - 1] |= 1 << x
-    work = sum(  # additions below: each y < x brings its 2^(rank(y) - 1) masks
-        (P.down[x] & layers[r]).bit_count() << r
-        for x in interior
-        for r in range(rank[x] - 1)
-    )
+    work = _flag_work(P.rank, P.down)
     if work > FLAG_WORK_CAP:
         raise TooLarge(
             f"counting these chains takes {work} additions, "
             f"over the cap of {FLAG_WORK_CAP}"
         )
+    return FlagFVector(n, dict(_flag_counts(P.rank, P.down)))
+
+
+@cache
+def _flag_work(rank: tuple, down: tuple) -> int:
+    """The additions of _flag_counts: each y < x brings its 2^(rank(y) - 1)
+    masks."""
+    layers = _layers(rank)
+    return sum(
+        (down[x] & layers[r]).bit_count() << r
+        for top, layer in enumerate(layers)
+        for x in _bits(layer)
+        for r in range(top)
+    )
+
+
+@cache
+def _flag_counts(rank: tuple, down: tuple) -> dict:
+    """The chains topped by an interior x are x alone and x on top of every
+    chain topped by an interior y below x."""
+    layers = _layers(rank)
     # ending[x][s]: chains topped by x whose other ranks form the mask s.  The
     # chains topped by the y of rank j + 1 below x fill s = 2^j .. 2^(j+1) - 1,
     # and in a graded poset every x has such y for each j < rank(x) - 1.  The
@@ -118,11 +154,25 @@ def flag_f_vector(P: GradedPoset) -> FlagFVector:
             for lower in layers[:r]:
                 # A list: unpacking a generator leaves a resized tuple on the
                 # tuple free list each time, about 1 MB of peak RSS in verify.
-                here += map(sum, zip(*[ending[y] for y in _bits(P.down[x] & lower)]))
+                here += map(sum, zip(*[ending[y] for y in _bits(down[x] & lower)]))
             ending[x] = here
             column.append(here)
         counts.update((1 << r | s, c) for s, c in enumerate(map(sum, zip(*column))))
-    return FlagFVector(n, counts)
+    return counts
+
+
+def _flag_words(n: int, counts: dict) -> dict:
+    """Each rank mask as the word with letter b at its ranks and a elsewhere."""
+    words = _mask_words(n)
+    return {words[mask]: count for mask, count in counts.items()}
+
+
+@cache
+def _mask_words(n: int) -> tuple:
+    return tuple(
+        "".join("b" if mask >> r & 1 else "a" for r in range(n - 1))
+        for mask in range(1 << (n - 1))
+    )
 
 
 def upsilon(P: GradedPoset) -> NCPoly:
@@ -131,18 +181,18 @@ def upsilon(P: GradedPoset) -> NCPoly:
     fv = flag_f_vector(P)
     if fv.n < 1:
         raise PosetOpsError("the poset must have rank at least 1")
-    return NCPoly(
-        AB,
-        {
-            "".join("b" if mask >> r & 1 else "a" for r in range(fv.n - 1)): count
-            for mask, count in fv.counts.items()
-        },
-    )
+    return NCPoly._wrap(AB, _flag_words(fv.n, fv.counts))
 
 
 def ab_index(P: GradedPoset) -> NCPoly:
     """The flag polynomial under a -> a-b, one letter position at a time."""
-    return NCPoly._wrap(AB, _change_basis(upsilon(P).terms, -1))
+    upsilon(P)  # the caps and the rank check, on every call
+    return NCPoly._wrap(AB, dict(_ab_terms(P.rank, P.down)))
+
+
+@cache
+def _ab_terms(rank: tuple, down: tuple) -> dict:
+    return _change_basis(_flag_words(max(rank), _flag_counts(rank, down)), -1)
 
 
 def cd_index(P: GradedPoset) -> NCPoly:

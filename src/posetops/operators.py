@@ -11,7 +11,8 @@ into flags (a -> a + b) and once back (a -> a - b).  So `op Iab` is iota
 (`op iota`) between the two basis changes; the tests keep the per-word ab
 recursion as its oracle.  All three interval transforms (`op iota`, `op Iab`
 and `op Icd`) and the second-kind transform `op IIab` refuse degrees over
-INTERVAL_MAX_DEGREE.
+INTERVAL_MAX_DEGREE; `op M` of two non-constant ab-polynomials refuses result
+degrees over MIXING_MAX_DEGREE.
 """
 
 from fractions import Fraction
@@ -142,6 +143,12 @@ def _mix_flag_pairs(pairs) -> NCPoly:
     return NCPoly._wrap(AB, _change_basis(words, -1))
 
 
+# Dense ab-inputs of result degree 13 take up to about 1 s and 310 MB (degrees
+# 6 and 6), and at 14 up to 3.2 s and 0.9 GB (7 and 6).  A constant argument,
+# as in the pyramid, costs far less and is not capped.
+MIXING_MAX_DEGREE = 13
+
+
 def mixing_ab(p: NCPoly, q: NCPoly) -> NCPoly:
     """Mix two ab-polynomials the way direct products mix flag counts.
 
@@ -151,6 +158,11 @@ def mixing_ab(p: NCPoly, q: NCPoly) -> NCPoly:
     """
     if p.alphabet != AB or q.alphabet != AB:
         raise PosetOpsError("mixing acts on ab-polynomials")
+    i, j = p.degree(), q.degree()
+    if min(i, j) >= 1 and i + j + 1 > MIXING_MAX_DEGREE:
+        raise TooLarge(
+            f"result degree {i + j + 1} exceeds the cap of {MIXING_MAX_DEGREE}"
+        )
     q_flags = _to_flags(q)
     return _mix_flag_pairs(
         ((alpha, beta), cu * cv)

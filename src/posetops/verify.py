@@ -22,8 +22,8 @@ from .complexes import (
     F_polynomial,
     SimplicialComplex,
     cheb_transform_T,
+    midpoint_label,
     order_complex,
-    order_complex_of_intervals_check,
     second_kind_links,
     stellar_subdivide,
     tchebyshev_triangulation,
@@ -64,6 +64,8 @@ from .operators import (
     upsilon_interval_transform,
 )
 from .posets import (
+    GradedPoset,
+    Poset,
     boolean_lattice,
     bottom_to_top_chains,
     chain_poset,
@@ -74,6 +76,7 @@ from .posets import (
     direct_product,
     graded_interval_poset,
     induced_subposet,
+    interval_label,
     interval_poset,
     is_eulerian,
     is_isomorphic,
@@ -702,6 +705,40 @@ def triangulation_cases() -> list:
             )
         )
     return cases
+
+
+def containment_edge_order(P: Poset, edges):
+    """Sort comparable pairs so that wider intervals come first."""
+    graded = isinstance(P, GradedPoset)
+
+    def width(edge):
+        x, y = edge
+        if not P.leq(x, y):
+            x, y = y, x
+        if graded:
+            return P.rank[P.index[y]] - P.rank[P.index[x]]
+        return P.interval_indices(P.index[x], P.index[y]).bit_count()
+
+    return sorted(edges, key=lambda e: (-width(e), e))
+
+
+def order_complex_of_intervals_check(P: Poset) -> bool:
+    """Compare the order complex of the interval poset with an edgewise
+    subdivision of the order complex of P, identifying [u,u] with u and
+    [u,v] with the midpoint of the edge {u,v}."""
+    base = order_complex(P)
+    subdivided = tchebyshev_triangulation(base, containment_edge_order(P, base.edges()))
+
+    rename = {}
+    for u in P.labels:
+        rename[u] = interval_label(u, u)
+    for x, y in base.edges():
+        lo, hi = (x, y) if P.leq(x, y) else (y, x)
+        rename[midpoint_label(x, y)] = interval_label(lo, hi)
+
+    renamed = {frozenset(rename[v] for v in f) for f in subdivided.faces}
+    target = order_complex(interval_poset(P))
+    return renamed == target.faces
 
 
 def interval_complex_cases(seed: int = 0) -> list:

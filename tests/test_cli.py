@@ -341,6 +341,34 @@ def test_op_icd_admits_degree_12_and_refuses_13(tmp_path, capsys):
     assert "degree 13" in err
 
 
+def test_op_mixing_admits_result_degree_13_and_refuses_14(tmp_path, capsys):
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    write_poly(p, "ab", [("b" * 6, 1, 1)])
+    write_poly(q, "ab", [("a" * 6, 1, 1)])
+    code, out, err = run_cli(capsys, ["op", "M", "--in", str(p), "--in2", str(q)])
+    assert code == 0 and err == ""
+    assert {len(t["word"]) for t in json.loads(out)["terms"]} == {13}
+    write_poly(p, "ab", [("b" * 7, 1, 1), ("a", 1, 1)])
+    code, out, err = run_cli(capsys, ["op", "M", "--in", str(p), "--in2", str(q)])
+    assert_refused(code, out, err)
+    assert "result degree 14" in err
+
+
+def test_op_mixing_with_a_constant_is_not_capped(tmp_path, capsys):
+    # the pyramid mixes with the unit; a dense degree-12 input passes
+    words = [""]
+    for _ in range(12):
+        words = [w + x for w in words for x in "ab"]
+    poly, unit = tmp_path / "dense12.json", tmp_path / "unit.json"
+    write_poly(poly, "ab", [(w, k % 19 - 9 or 1, 1) for k, w in enumerate(words)])
+    write_poly(unit, "ab", [("", 1, 1)])
+    code, pyr, err = run_cli(capsys, ["op", "pyr", "--in", str(poly)])
+    assert code == 0 and err == ""
+    assert {len(t["word"]) for t in json.loads(pyr)["terms"]} == {13}
+    code, mixed, err = run_cli(capsys, ["op", "M", "--in", str(unit), "--in2", str(poly)])
+    assert code == 0 and err == "" and mixed == pyr
+
+
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     argv = ["index", "upsilon", "--kind", "cube", "--n", "2"]
     _, first, _ = run_cli(capsys, argv)

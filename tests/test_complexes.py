@@ -9,12 +9,10 @@ from posetops.complexes import (
     cheb_transform_T,
     chebyshev_T,
     chebyshev_U,
-    containment_edge_order,
     join,
     link,
     midpoint_label,
     order_complex,
-    order_complex_of_intervals_check,
     second_kind_links,
     stellar_subdivide,
     suspension,
@@ -39,7 +37,11 @@ from posetops.posets import (
     interval_poset,
     ladder_poset,
 )
-from posetops.verify import complex_corpus
+from posetops.verify import (
+    complex_corpus,
+    containment_edge_order,
+    order_complex_of_intervals_check,
+)
 
 
 def xpoly(coeffs):

@@ -34,6 +34,7 @@ from posetops.ncpoly import (
     substitute,
 )
 from posetops.posets import (
+    GradedPoset,
     boolean_lattice,
     chain_poset,
     crosspolytope_lattice,
@@ -44,7 +45,7 @@ from posetops.posets import (
     is_eulerian,
     ladder_poset,
 )
-from posetops.verify import corpus
+from posetops.verify import SUITES, corpus
 
 
 def test_flag_vector_of_boolean_square():
@@ -310,3 +311,59 @@ def test_flag_work_cap_admits_every_generated_boolean_lattice(monkeypatch):
     monkeypatch.setattr(flags, "FLAG_WORK_CAP", work(6) - 1)
     with pytest.raises(TooLarge, match=f"takes {work(6)} additions"):
         flag_f_vector(B6)
+
+
+# -- the memo keyed by (rank, down) -------------------------------------------------
+
+
+def test_returned_values_are_copies_of_the_memo():
+    P = boolean_lattice(3)
+    fv, ab = flag_f_vector(P), ab_index(P)
+    expected_fv, expected_ab = FlagFVector(fv.n, dict(fv.counts)), NCPoly(AB, ab.terms)
+    fv.counts[0b11] = 0
+    fv.counts.clear()
+    ab.terms["aa"] = 7
+    ab.terms.pop("bb")
+    assert flag_f_vector(P) == expected_fv
+    assert ab_index(P) == expected_ab
+
+
+def test_relabeled_posets_share_one_memo_entry():
+    P = boolean_lattice(3)
+    z = [f"z{x}" for x in P.labels]
+    Q = GradedPoset(z, [(z[i], z[j]) for i, js in enumerate(P.covers_up) for j in js])
+    assert (Q.rank, Q.down) == (P.rank, P.down) and Q.labels != P.labels
+    memos = (flags._flag_work, flags._flag_counts, flags._ab_terms)
+    for memo in memos:
+        memo.cache_clear()
+    assert ab_index(P) == ab_index(Q)
+    assert [memo.cache_info().currsize for memo in memos] == [1, 1, 1]
+
+
+def test_rank_cap_runs_before_the_memo(monkeypatch):
+    P = chain_poset(5)
+    ab_index(P)
+    hits = flags._flag_counts.cache_info().hits
+    flag_f_vector(P)
+    assert flags._flag_counts.cache_info().hits == hits + 1
+    before = flags._flag_counts.cache_info(), flags._ab_terms.cache_info()
+    monkeypatch.setattr(flags, "FLAG_RANK_CAP", 4)
+    for index in (flag_f_vector, upsilon, ab_index):
+        with pytest.raises(TooLarge, match="rank 5 exceeds"):
+            index(P)
+    assert (flags._flag_counts.cache_info(), flags._ab_terms.cache_info()) == before
+
+
+def test_memo_after_the_ii_suite_holds_each_structure_once(monkeypatch):
+    structures = []
+    counted = flags.flag_f_vector
+
+    def recording(P):
+        structures.append((P.rank, P.down))
+        return counted(P)
+
+    monkeypatch.setattr(flags, "flag_f_vector", recording)
+    flags._flag_counts.cache_clear()
+    SUITES["ii"](0)
+    assert flags._flag_counts.cache_info().currsize == len(set(structures))
+    assert len(set(structures)) < len(structures)
