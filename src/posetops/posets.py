@@ -551,13 +551,15 @@ def pell_number(n: int) -> int:
 def count_chains_with_support(P: GradedPoset, support) -> int:
     """Chains of intervals of P whose endpoint set is exactly the support.
 
-    The support must be a chain running from bottom to top.  The count
-    covers the chains of the bottomed interval poset that start at the
-    empty interval; the topmost member is forced to be the whole ground
-    set once every support element appears as an endpoint.  The count
-    depends only on the length m of the support and is P(m) + P(m+1) in
-    Pell numbers; the pell suite checks that against a recursion that counts
-    those chains over a chain of length m.
+    The support must be a chain running from bottom to top.  Counted are the
+    nonempty chains of the interval poset of P whose intervals' endpoints
+    together are the support; the outermost interval is then the whole
+    ground set.  The count depends only on the length m of the support and
+    is P(m) + P(m+1) in Pell numbers, which is what this returns once the
+    support is validated: no interval is built.  The pell suite checks that,
+    for one support per corpus member and length, against a recursion over
+    a chain of length m and against a count on the member's own interval
+    poset.
     """
     chain = list(support)
     if not chain:
@@ -574,33 +576,6 @@ def count_chains_with_support(P: GradedPoset, support) -> int:
         raise EndpointsNotExtreme("support must run from bottom to top")
     m = len(chain) - 1
     return pell_number(m) + pell_number(m + 1)
-
-
-def bottom_to_top_chains(P: GradedPoset, max_length: int):
-    """All chains from bottom to top with at most max_length steps."""
-    top = P.top_index
-    labels = P.labels
-    above = [
-        [j for j in range(len(labels)) if P.up[i] >> j & 1 and j != i]
-        for i in range(len(labels))
-    ]
-    out = []
-    start = P.bottom_index
-    if start == top:
-        return [[labels[start]]] if max_length >= 0 else []
-
-    def walk(i, path, steps_left):
-        for j in above[i]:
-            if j == top:
-                out.append([labels[k] for k in path] + [labels[top]])
-            elif steps_left >= 2:
-                path.append(j)
-                walk(j, path, steps_left - 1)
-                path.pop()
-
-    if max_length >= 1:
-        walk(start, [start], max_length)
-    return out
 
 
 # -- isomorphism ---------------------------------------------------------------

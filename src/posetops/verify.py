@@ -67,7 +67,6 @@ from .posets import (
     GradedPoset,
     Poset,
     boolean_lattice,
-    bottom_to_top_chains,
     chain_poset,
     count_chains_with_support,
     crosspolytope_lattice,
@@ -429,23 +428,10 @@ def product_law_cases(seed: int = 0) -> list:
 # -- weighted lattice paths ----------------------------------------------------------
 
 
-def _ce_block_words(length: int, pair_count: int) -> list:
-    """Words of the given length built from single c's and adjacent ee pairs."""
-    out: list[str] = []
-    if length < 0 or 2 * pair_count > length:
-        return out
-
-    def build(prefix: str, c_left: int, pairs_left: int) -> None:
-        if c_left == 0 and pairs_left == 0:
-            out.append(prefix)
-            return
-        if c_left:
-            build(prefix + "c", c_left - 1, pairs_left)
-        if pairs_left:
-            build(prefix + "ee", c_left, pairs_left - 1)
-
-    build("", length - 2 * pair_count, pair_count)
-    return out
+def _ce_words(degree: int, pairs: int) -> list:
+    """The ce-words of the given degree with that many ee pairs: the
+    cd-words with that many d's, each d read as ee."""
+    return [w.replace("d", "ee") for w in cd_words(degree) if w.count("d") == pairs]
 
 
 def delannoy_cases() -> list:
@@ -476,7 +462,7 @@ def delannoy_cases() -> list:
                     NCPoly(CE, {
                         word: delannoy_ce_coefficient(i, j, r)
                         for r in range(length // 2 + 1)
-                        for word in _ce_block_words(length, r)
+                        for word in _ce_words(length, r)
                     }),
                 )
             )
@@ -539,7 +525,7 @@ def ladder_cases() -> list:
                 NCPoly(CE, {
                     word: ladder_second_kind_ce_coefficient(n, r)
                     for r in pairs
-                    for word in _ce_block_words(n, r)
+                    for word in _ce_words(n, r)
                 }),
             )
         )
@@ -547,7 +533,7 @@ def ladder_cases() -> list:
             case(
                 f"ce word count at degree {n} follows the binomial count",
                 True,
-                all(len(_ce_block_words(n, r)) == ce_word_count(n, r) for r in pairs),
+                all(len(_ce_words(n, r)) == ce_word_count(n, r) for r in pairs),
             )
         )
     for n in range(1, 4):
@@ -614,10 +600,37 @@ def _support_chain_count(m: int) -> int:
     return count
 
 
+def _interval_support_count(I: Poset, support) -> int:
+    """Nonempty chains of the interval poset I whose endpoint set is exactly
+    the support, by a DP over the intervals between support elements in
+    containment order, keyed by the endpoint mask of each chain."""
+    m = len(support) - 1
+    endpoints = {
+        I.index[interval_label(support[i], support[j])]: 1 << i | 1 << j
+        for i in range(m + 1)
+        for j in range(i, m + 1)
+    }
+    done = []
+    for t in sorted(endpoints, key=lambda t: I.down[t].bit_count()):
+        topped = {endpoints[t]: 1}
+        for s, below in done:
+            if I.down[t] >> s & 1:
+                for mask, count in below.items():
+                    key = mask | endpoints[t]
+                    topped[key] = topped.get(key, 0) + count
+        done.append((t, topped))
+    full = (1 << (m + 1)) - 1
+    return sum(topped.get(full, 0) for _, topped in done)
+
+
 def support_count_cases(seed: int = 0) -> list:
-    """Chains of nested intervals with full support follow the Pell pattern:
-    the recursion that counts them against the closed form P(m) + P(m+1)
-    that `count_chains_with_support` returns."""
+    """Chains of nested intervals with full support follow the Pell pattern.
+
+    For each corpus member and each length m up to min(rank, 6) one support
+    is taken: the bottom, the first m - 1 elements of a maximal chain, and
+    the top.  The recursion over a chain of length m is checked against the
+    closed form that `count_chains_with_support` returns and against a
+    count on the member's own interval poset."""
     cases = [
         case(
             "rank-1 chain: nested-interval chains over the full support",
@@ -631,21 +644,22 @@ def support_count_cases(seed: int = 0) -> list:
         ),
     ]
     for name, P in corpus(seed):
-        by_length: dict[int, set] = {}
-        for chain in bottom_to_top_chains(P, 6):
-            m = len(chain) - 1
-            by_length.setdefault(m, set()).add(
-                count_chains_with_support(P, chain)
-            )
-        for m in sorted(by_length):
+        I = interval_poset(P)
+        chain = [P.bottom_index]
+        for m in range(1, min(P.top_rank, 6) + 1):
+            support = [P.labels[i] for i in chain] + [P.top]
             cases.append(
                 case(
                     f"{name}: every bottom-to-top chain of length {m} counts "
                     f"P({m}) + P({m + 1}) nested-interval chains",
                     [_support_chain_count(m)],
-                    sorted(by_length[m]),
+                    sorted({
+                        count_chains_with_support(P, support),
+                        _interval_support_count(I, support),
+                    }),
                 )
             )
+            chain.append(P.covers_up[chain[-1]][0])
     return cases
 
 

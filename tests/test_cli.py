@@ -453,13 +453,6 @@ def test_console_script_runs_a_suite(tmp_path):
     assert json.loads(proc.stdout)["summary"]["failed"] == 0
 
 
-def assert_refused(code, out, err):
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize(
     "num, den", [(1.5, 1), (1, 2.0), ("1", 1), (1, "2"), (True, 1), (1, True)]
 )

@@ -67,6 +67,7 @@ CALLS = (
         ["op", "delannoy", "--i", "3", "--j", "4"],
         ["verify", "--suite", "delannoy"],
         ["verify", "--suite", "tcheb-triangulation"],
+        ["verify", "--suite", "pell"],
     ]
     + [
         ["poset", action, "--in", name]
@@ -122,6 +123,8 @@ DIGESTS = {
     "verify --suite delannoy": (0, "132c11155eceb71256b9df2b7575119881cbb346beb5befb9093ed790935b6d2"),
     # recorded while f-polynomials were still their own UnivariatePoly class
     "verify --suite tcheb-triangulation": (0, "ae13f06c8af1e47587494a02100bca6d0984daf9a362434d499c606b919b25a2"),
+    # recorded while the pell suite walked every bottom-to-top chain
+    "verify --suite pell": (0, "d1a186859b0af52d2ba1972e12328f323854561dfcff52332b7fcec632202138"),
     # recorded before derived posets were built from index covers
     "poset intervals --in boolean3": (0, "7da1656b10d80d0b796d0d74e6c283130e0355827bbbc12b5ac10a9df9b0dee5"),
     "poset graded-intervals --in boolean3": (0, "b555733a76c3c3050a5ebbf88cace594983d8efafb2289a1caeb6be338af1ae0"),

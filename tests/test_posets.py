@@ -17,7 +17,6 @@ from posetops.posets import (
     GradedPoset,
     Poset,
     boolean_lattice,
-    bottom_to_top_chains,
     chain_poset,
     count_chains_with_support,
     crosspolytope_lattice,
@@ -396,26 +395,6 @@ def test_support_count_input_validation():
         count_chains_with_support(B2, ["{}", "{1}"])
     with pytest.raises(EndpointsNotExtreme):
         count_chains_with_support(B2, ["{1}", "{1,2}"])
-
-
-def test_bottom_to_top_chains_on_boolean_square():
-    B2 = boolean_lattice(2)
-    chains = bottom_to_top_chains(B2, 2)
-    lengths = sorted(len(c) - 1 for c in chains)
-    assert lengths == [1, 2, 2]
-    for chain in chains:
-        assert chain[0] == "{}"
-        assert chain[-1] == "{1,2}"
-        for a, b in zip(chain, chain[1:]):
-            assert B2.less(a, b)
-
-
-def test_bottom_to_top_chains_respects_cap():
-    B3 = boolean_lattice(3)
-    assert len(bottom_to_top_chains(B3, 1)) == 1
-    assert len(bottom_to_top_chains(B3, 2)) == 1 + 6
-    assert len(bottom_to_top_chains(B3, 3)) == 1 + 6 + 6
-    assert len(bottom_to_top_chains(B3, 6)) == 13
 
 
 def test_subposet_keeps_induced_order():

@@ -8,7 +8,7 @@ from posetops import verify
 from posetops.complexes import stellar_subdivide, tchebyshev_triangulation
 from posetops.errors import PosetOpsError
 from posetops.ncpoly import AB, NCPoly, X
-from posetops.posets import chain_poset, count_chains_with_support
+from posetops.posets import Poset, chain_poset, count_chains_with_support, interval_poset
 from posetops.verify import (
     SUITES,
     base_families,
@@ -162,3 +162,25 @@ def test_support_chain_recursion_agrees_with_the_closed_form():
         support = [str(i) for i in range(m + 1)]
         closed = count_chains_with_support(chain_poset(m), support)
         assert verify._support_chain_count(m) == closed, m
+
+
+def test_pell_suite_fails_exactly_the_lengths_its_recursion_miscounts(monkeypatch):
+    recursion = verify._support_chain_count
+    monkeypatch.setattr(
+        verify, "_support_chain_count", lambda m: recursion(m) + (m == 3)
+    )
+    cases = verify.support_count_cases(0)
+    failed = [c["description"] for c in cases if not c["pass"]]
+    length_3 = [c["description"] for c in cases if " of length 3 " in c["description"]]
+    assert length_3 and failed == length_3
+
+
+def test_pell_suite_fails_every_corpus_case_without_containments(monkeypatch):
+    def no_containments(P):
+        I = interval_poset(P)
+        return Poset._from_covers(I.labels, [[] for _ in I.labels])
+
+    monkeypatch.setattr(verify, "interval_poset", no_containments)
+    cases = verify.support_count_cases(0)
+    corpus_cases = [c for c in cases if "bottom-to-top chain" in c["description"]]
+    assert corpus_cases and not any(c["pass"] for c in corpus_cases)
