@@ -11,8 +11,8 @@ into flags (a -> a + b) and once back (a -> a - b).  So `op Iab` is iota
 (`op iota`) between the two basis changes; the tests keep the per-word ab
 recursion as its oracle.  All three interval transforms (`op iota`, `op Iab`
 and `op Icd`) and the second-kind transform `op IIab` refuse degrees over
-INTERVAL_MAX_DEGREE; `op M` of two non-constant ab-polynomials refuses result
-degrees over MIXING_MAX_DEGREE.
+INTERVAL_MAX_DEGREE; `op M` of two non-constant ab- or cd-polynomials refuses
+result degrees over MIXING_MAX_DEGREE.
 """
 
 from fractions import Fraction
@@ -144,9 +144,21 @@ def _mix_flag_pairs(pairs) -> NCPoly:
 
 
 # Dense ab-inputs of result degree 13 take up to about 1 s and 310 MB (degrees
-# 6 and 6), and at 14 up to 3.2 s and 0.9 GB (7 and 6).  A constant argument,
-# as in the pyramid, costs far less and is not capped.
+# 6 and 6), and at 14 up to 3.2 s and 0.9 GB (7 and 6).  Dense cd-inputs take
+# about 0.3 s at degrees 6 and 6, 1.2-1.9 s and 68 MB at 7 and 7, and 11 s and
+# 371 MB at 8 and 8.  A constant argument, as in the pyramid, costs far less
+# and is not capped.
 MIXING_MAX_DEGREE = 13
+
+
+def _check_mixing_degrees(p: NCPoly, q: NCPoly) -> None:
+    """Refuse two non-constant arguments whose result degree
+    (deg p + deg q + 1) is over MIXING_MAX_DEGREE."""
+    i, j = p.degree(), q.degree()
+    if min(i, j) >= 1 and i + j + 1 > MIXING_MAX_DEGREE:
+        raise TooLarge(
+            f"result degree {i + j + 1} exceeds the cap of {MIXING_MAX_DEGREE}"
+        )
 
 
 def mixing_ab(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -158,11 +170,7 @@ def mixing_ab(p: NCPoly, q: NCPoly) -> NCPoly:
     """
     if p.alphabet != AB or q.alphabet != AB:
         raise PosetOpsError("mixing acts on ab-polynomials")
-    i, j = p.degree(), q.degree()
-    if min(i, j) >= 1 and i + j + 1 > MIXING_MAX_DEGREE:
-        raise TooLarge(
-            f"result degree {i + j + 1} exceeds the cap of {MIXING_MAX_DEGREE}"
-        )
+    _check_mixing_degrees(p, q)
     q_flags = _to_flags(q)
     return _mix_flag_pairs(
         ((alpha, beta), cu * cv)
@@ -204,6 +212,7 @@ def _mixing_cd_words(u: str, v: str) -> NCPoly:
 def mixing_cd(p: NCPoly, q: NCPoly) -> NCPoly:
     if p.alphabet != CD or q.alphabet != CD:
         raise PosetOpsError("this mixing form acts on cd-polynomials")
+    _check_mixing_degrees(p, q)
     return _apply_wordwise(
         p, lambda u: _apply_wordwise(q, lambda v: _mixing_cd_words(u, v), CD), CD
     )

@@ -9,8 +9,11 @@ covers of each element given as indices: topological order, the up/down
 masks, and the refusal of cycles and of covers implied by a longer path;
 for a GradedPoset also the bounded and graded checks and the ranks, in the
 same order.  The label constructor only parses (lo, hi) label pairs into
-index covers.  Duals, products, intervals and second-kind members hand the
-index covers of their input to the routine directly.
+index covers.  Duals, direct and diamond products and intervals hand the
+index covers of their input to the routine directly.  A second-kind member
+is no construction of its own: member x is the upper interval
+[[x,x], [0̂,1̂]] of the bottomed interval poset, cut out by
+`interval_subposet`.
 
 Derived posets are counted from the masks before they are built (the
 intervals of P number the sum of |up[x]|, a product |P|·|Q|, and all
@@ -152,9 +155,6 @@ class Poset:
 
     def less(self, x: str, y: str) -> bool:
         return x != y and self.leq(x, y)
-
-    def comparable(self, x: str, y: str) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
 
     def minimal_indices(self):
         return [i for i in range(len(self.labels)) if not self.covers_down[i]]
@@ -414,28 +414,22 @@ def direct_product(P: Poset, Q: Poset) -> Poset:
 
 
 def diamond_product(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
-    """Product of the posets with bottoms removed, re-bounded from below."""
+    """Product of the posets with bottoms removed, re-bounded from below by
+    a new bottom of index 0 under every pair of rank-one elements.  The
+    remaining pairs are numbered from 1 in the order of P, then of Q."""
     _check_cap((len(P) - 1) * (len(Q) - 1) + 1)
-    new_bottom = "0̂"
-    keep_p = [p for p in P.labels if p != P.bottom]
-    keep_q = [q for q in Q.labels if q != Q.bottom]
-    labels = [new_bottom] + [pair_label(p, q) for p in keep_p for q in keep_q]
-    covers = []
-    for p in keep_p:
-        for q in keep_q:
-            if P.rank_of(p) == 1 and Q.rank_of(q) == 1:
-                covers.append((new_bottom, pair_label(p, q)))
-    for p_lo, p_hi in P.cover_pairs():
-        if p_lo == P.bottom:
-            continue
-        for q in keep_q:
-            covers.append((pair_label(p_lo, q), pair_label(p_hi, q)))
-    for q_lo, q_hi in Q.cover_pairs():
-        if q_lo == Q.bottom:
-            continue
-        for p in keep_p:
-            covers.append((pair_label(p, q_lo), pair_label(p, q_hi)))
-    return GradedPoset(labels, covers)
+    keep_q = [q for q in range(len(Q)) if q != Q.bottom_index]
+    kept = [(p, q) for p in range(len(P)) if p != P.bottom_index for q in keep_q]
+    at = {pair: k for k, pair in enumerate(kept, 1)}
+    labels = ["0̂"] + [pair_label(P.labels[p], Q.labels[q]) for p, q in kept]
+    atoms = [
+        at[p, q] for p in P.covers_up[P.bottom_index] for q in Q.covers_up[Q.bottom_index]
+    ]
+    covers_up = [atoms] + [
+        [at[p2, q] for p2 in P.covers_up[p]] + [at[p, q2] for q2 in Q.covers_up[q]]
+        for p, q in kept
+    ]
+    return GradedPoset._from_covers(labels, covers_up)
 
 
 # -- interval posets -----------------------------------------------------------
@@ -493,20 +487,16 @@ def interval_subposet(P: GradedPoset, lower: str, upper: str) -> GradedPoset:
 def second_kind_transform(P: GradedPoset) -> list:
     """For each x, the intervals containing x, ordered by inclusion.
 
-    Member x is the part of the interval poset weakly above [x,x]; its
-    bottom is [x,x] and its top is the whole ground set.  Returns the
-    (x, member) pairs in the label order of P.
+    Member x is the upper interval [[x,x], [0̂,1̂]] of the bottomed interval
+    poset, which is built once; its bottom is [x,x] and its top is the
+    whole ground set.  Returns the (x, member) pairs in the label order of P.
     """
     _check_cap(sum(d.bit_count() * u.bit_count() for d, u in zip(P.down, P.up)))
-    members = []
-    for x, label in enumerate(P.labels):
-        above = list(_bits(P.up[x]))
-        pairs = [(i, j) for i in _bits(P.down[x]) for j in above]
-        member = GradedPoset._from_covers(
-            _interval_labels(P, pairs), _interval_covers(P, pairs)
-        )
-        members.append((label, member))
-    return members
+    G = graded_interval_poset(P)
+    whole = interval_label(P.bottom, P.top)
+    return [
+        (x, interval_subposet(G, interval_label(x, x), whole)) for x in P.labels
+    ]
 
 
 def second_kind_member_product(P: GradedPoset, x: str) -> GradedPoset:
@@ -521,18 +511,10 @@ def second_kind_member_product(P: GradedPoset, x: str) -> GradedPoset:
 
 def is_eulerian(P: GradedPoset) -> bool:
     """Every interval of rank at least one balances even and odd ranks."""
-    n = len(P.labels)
-    even_mask = 0
-    for i in range(n):
-        if P.rank[i] % 2 == 0:
-            even_mask |= 1 << i
-    for i in range(n):
-        above = P.up[i] & ~(1 << i)
-        while above:
-            low_bit = above & -above
-            above ^= low_bit
-            j = low_bit.bit_length() - 1
-            members = P.up[i] & P.down[j]
+    even_mask = sum(1 << i for i, r in enumerate(P.rank) if r % 2 == 0)
+    for i, above in enumerate(P.up):
+        for j in _bits(above & ~(1 << i)):
+            members = above & P.down[j]
             evens = (members & even_mask).bit_count()
             if 2 * evens != members.bit_count():
                 return False

@@ -11,6 +11,7 @@ import pytest
 
 from posetops.cli import _split_support, main
 from posetops.errors import PosetOpsError
+from posetops.ncpoly import cd_words
 from posetops.posets import GradedPoset, chain_poset, pell_number, poset_to_dict
 
 
@@ -349,6 +350,21 @@ def test_op_mixing_admits_result_degree_13_and_refuses_14(tmp_path, capsys):
     assert code == 0 and err == ""
     assert {len(t["word"]) for t in json.loads(out)["terms"]} == {13}
     write_poly(p, "ab", [("b" * 7, 1, 1), ("a", 1, 1)])
+    code, out, err = run_cli(capsys, ["op", "M", "--in", str(p), "--in2", str(q)])
+    assert_refused(code, out, err)
+    assert "result degree 14" in err
+
+
+def test_op_mixing_caps_cd_polynomials_like_ab(tmp_path, capsys):
+    # dense cd-inputs of degrees 6 and 6 mix to degree 13; 7 and 6 are refused
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    dense6 = [(w, k % 7 - 3 or 1, 1) for k, w in enumerate(cd_words(6))]
+    write_poly(p, "cd", dense6)
+    write_poly(q, "cd", dense6)
+    code, out, err = run_cli(capsys, ["op", "M", "--in", str(p), "--in2", str(q)])
+    assert code == 0 and err == ""
+    assert {len(t["word"]) + t["word"].count("d") for t in json.loads(out)["terms"]} == {13}
+    write_poly(p, "cd", [("c" * 7, 1, 1)])
     code, out, err = run_cli(capsys, ["op", "M", "--in", str(p), "--in2", str(q)])
     assert_refused(code, out, err)
     assert "result degree 14" in err

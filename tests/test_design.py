@@ -6,8 +6,8 @@ second memo idiom.  Every public module-level callable of a layer module
 is a plain function, so a tracer that rebinds the public names from
 outside (as perfbench/layers.py does, wrapping only FunctionType) still
 sees each call.  Every public module-level function and class of the
-library modules is used somewhere in the package, so no helper that
-nothing calls grows back.
+library modules, and every public method of those classes, is used
+somewhere in the package, so no helper that nothing calls grows back.
 """
 
 import ast
@@ -118,8 +118,9 @@ def test_public_callables_are_plain_functions(layer):
 
 def _unreferenced(sources: dict) -> list:
     """The public module-level functions and classes of the LIBRARY modules
-    among `sources` (module name -> text) that no name or attribute in any
-    of the sources reads, outside the definition itself."""
+    among `sources` (module name -> text), and the public methods of those
+    classes, that no name or attribute in any of the sources reads, outside
+    the definition itself."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     readers: dict[str, list] = {}
     for tree in trees.values():
@@ -142,9 +143,17 @@ def _unreferenced(sources: dict) -> list:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
                 continue
-            inside = set(map(id, ast.walk(node)))
-            if all(id(reader) in inside for reader in readers.get(node.name, [])):
-                found.append(f"{module}.{node.name}")
+            defined = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{node.name}.{method.name}", method)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and method.name[0] != "_"
+                ]
+            for name, definition in defined:
+                inside = set(map(id, ast.walk(definition)))
+                if all(id(r) in inside for r in readers.get(definition.name, [])):
+                    found.append(f"{module}.{name}")
     return found
 
 
@@ -157,3 +166,14 @@ def test_the_reference_check_sees_an_unused_helper():
     helper = "def used():\n    return 1\n\n\ndef unused(n):\n    return unused(n - 1)\n"
     caller = "from .flags import used as first\n\nVALUE = first()\n"
     assert _unreferenced({"flags": helper, "cli": caller}) == ["flags.unused"]
+
+
+def test_the_reference_check_sees_an_unused_method():
+    shape = (
+        "class Shape:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def unused(self):\n        return self.unused()\n"
+    )
+    caller = "from .posets import Shape\n\nVALUE = Shape().used()\n"
+    assert _unreferenced({"posets": shape, "cli": caller}) == ["posets.Shape.unused"]

@@ -31,12 +31,14 @@ from posetops.posets import (
     is_eulerian,
     is_isomorphic,
     ladder_poset,
+    pair_label,
     pell_number,
     poset_from_dict,
     poset_to_dict,
     second_kind_member_product,
     second_kind_transform,
 )
+from posetops.verify import SIZE_CAP, base_families, interval_ready_corpus
 
 
 def elbow_poset():
@@ -81,8 +83,8 @@ def test_leq_on_boolean_square():
     assert not B2.leq("{1,2}", "{1}")
     assert B2.less("{}", "{1}")
     assert not B2.less("{1}", "{1}")
-    assert B2.comparable("{2}", "{}")
-    assert not B2.comparable("{1}", "{2}")
+    assert B2.leq("{2}", "{}") or B2.leq("{}", "{2}")
+    assert not B2.leq("{1}", "{2}") and not B2.leq("{2}", "{1}")
 
 
 def test_graded_needs_unique_bottom():
@@ -134,7 +136,7 @@ def test_ladder_poset_shape():
     assert L2.top_rank == 3
     assert L2.leq("+1", "-2")
     assert L2.leq("-1", "+2")
-    assert not L2.comparable("+1", "-1")
+    assert not L2.leq("+1", "-1") and not L2.leq("-1", "+1")
 
 
 def test_cube_lattice_shape():
@@ -155,7 +157,7 @@ def test_crosspolytope_lattice_shape():
     assert C2.top == "⊤"
     assert C2.top_rank == 3
     assert C2.leq("{+1}", "{+1,-2}")
-    assert not C2.comparable("{+1}", "{-1}")
+    assert not C2.leq("{+1}", "{-1}") and not C2.leq("{-1}", "{+1}")
     assert is_isomorphic(C2, cube_lattice(2))
 
 
@@ -238,11 +240,11 @@ def test_interval_poset_of_elbow():
         "[u2,u3]",
     }
     assert I.leq("[u2,u2]", "[u1,u3]")
-    assert not I.comparable("[u1,u2]", "[u2,u3]")
+    assert not I.leq("[u1,u2]", "[u2,u3]") and not I.leq("[u2,u3]", "[u1,u2]")
     # singletons form an antichain
     singles = ["[u1,u1]", "[u2,u2]", "[u3,u3]", "[u4,u4]"]
     for x, y in itertools.combinations(singles, 2):
-        assert not I.comparable(x, y)
+        assert not I.leq(x, y) and not I.leq(y, x)
 
 
 def test_graded_interval_poset_of_boolean_square():
@@ -300,6 +302,64 @@ def test_second_kind_member_sizes_on_boolean_cube():
         assert is_isomorphic(member, second_kind_member_product(B3, x))
 
 
+def label_diamond_product(P, Q):
+    """The earlier diamond product, built from label pairs through the
+    GradedPoset constructor; kept as the oracle of the index-cover route."""
+    new_bottom = "0̂"
+    keep_p = [p for p in P.labels if p != P.bottom]
+    keep_q = [q for q in Q.labels if q != Q.bottom]
+    labels = [new_bottom] + [pair_label(p, q) for p in keep_p for q in keep_q]
+    covers = []
+    for p in keep_p:
+        for q in keep_q:
+            if P.rank_of(p) == 1 and Q.rank_of(q) == 1:
+                covers.append((new_bottom, pair_label(p, q)))
+    for p_lo, p_hi in P.cover_pairs():
+        if p_lo == P.bottom:
+            continue
+        for q in keep_q:
+            covers.append((pair_label(p_lo, q), pair_label(p_hi, q)))
+    for q_lo, q_hi in Q.cover_pairs():
+        if q_lo == Q.bottom:
+            continue
+        for p in keep_p:
+            covers.append((pair_label(p, q_lo), pair_label(p, q_hi)))
+    return GradedPoset(labels, covers)
+
+
+def pair_second_kind_transform(P):
+    """The earlier second-kind members, each built on its own from the index
+    pairs (i, j) with i <= x <= j; kept as the oracle of the upper-interval
+    route."""
+    members = []
+    for x, label in enumerate(P.labels):
+        above = list(posets._bits(P.up[x]))
+        pairs = [(i, j) for i in posets._bits(P.down[x]) for j in above]
+        member = GradedPoset._from_covers(
+            posets._interval_labels(P, pairs), posets._interval_covers(P, pairs)
+        )
+        members.append((label, member))
+    return members
+
+
+def test_diamond_product_matches_the_label_route():
+    checked = 0
+    for (_, A), (_, B) in itertools.product(base_families(), repeat=2):
+        if len(A) * len(B) <= SIZE_CAP:
+            assert poset_to_dict(diamond_product(A, B)) == poset_to_dict(
+                label_diamond_product(A, B)
+            )
+            checked += 1
+    assert checked == 213  # of the 225 ordered pairs
+
+
+def test_second_kind_members_match_the_pair_route():
+    for _, P in interval_ready_corpus(0):
+        built = [(x, poset_to_dict(m)) for x, m in second_kind_transform(P)]
+        oracle = [(x, poset_to_dict(m)) for x, m in pair_second_kind_transform(P)]
+        assert built == oracle
+
+
 @pytest.mark.parametrize(
     "build, size",
     [
@@ -343,7 +403,9 @@ def brute_force_support_count(P, support):
     count = 0
     for size in range(1, len(I) + 1):
         for combo in itertools.combinations(I.labels, size):
-            if all(I.comparable(x, y) for x, y in itertools.combinations(combo, 2)):
+            if all(
+                I.leq(x, y) or I.leq(y, x) for x, y in itertools.combinations(combo, 2)
+            ):
                 seen = set()
                 for label in combo:
                     seen |= endpoints[label]
