@@ -57,16 +57,6 @@ FLAG_RANK_CAP = 16
 FLAG_WORK_CAP = 1 << 25
 
 
-def _rank_mask(n: int, S) -> int:
-    """The bitmask of a rank set given from outside, checked against rank n."""
-    mask = 0
-    for r in S:
-        if not 1 <= r <= n - 1 or mask >> (r - 1) & 1:
-            raise PosetOpsError(f"rank set {S} needs distinct ranks inside 1..{n - 1}")
-        mask |= 1 << (r - 1)
-    return mask
-
-
 class FlagFVector:
     """Chain counts of a graded poset of rank n, keyed by rank mask; a mask
     that no chain visits is absent."""
@@ -76,9 +66,6 @@ class FlagFVector:
     def __init__(self, n: int, counts: dict):
         self.n = n
         self.counts = counts
-
-    def count(self, S) -> int:
-        return self.counts.get(_rank_mask(self.n, S), 0)
 
     def sorted_items(self):
         """(rank tuple, count) for every subset of 1..n-1, zeros included,

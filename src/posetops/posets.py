@@ -563,102 +563,18 @@ def count_chains_with_support(P: GradedPoset, support) -> int:
 # -- isomorphism ---------------------------------------------------------------
 
 
-def _refine_colors(P: Poset, Q: Poset):
-    """Joint color refinement on cover degrees; None when multisets split."""
-
-    def initial(R):
-        return [
-            (
-                len(R.covers_down[i]),
-                len(R.covers_up[i]),
-                R.down[i].bit_count(),
-                R.up[i].bit_count(),
-            )
-            for i in range(len(R.labels))
-        ]
-
-    palette: dict = {}
-
-    def canonical(values):
-        out = []
-        for v in values:
-            if v not in palette:
-                palette[v] = len(palette)
-            out.append(palette[v])
-        return out
-
-    colors_p = canonical(initial(P))
-    colors_q = canonical(initial(Q))
-    while True:
-        if sorted(colors_p) != sorted(colors_q):
-            return None
-
-        def signature(R, colors):
-            return [
-                (
-                    colors[i],
-                    tuple(sorted(colors[j] for j in R.covers_up[i])),
-                    tuple(sorted(colors[j] for j in R.covers_down[i])),
-                )
-                for i in range(len(R.labels))
-            ]
-
-        palette.clear()
-        new_p = canonical(signature(P, colors_p))
-        new_q = canonical(signature(Q, colors_q))
-        if new_p == colors_p and new_q == colors_q:
-            return colors_p, colors_q
-        colors_p, colors_q = new_p, new_q
-
-
-def is_isomorphic(P: Poset, Q: Poset, max_size: int = 64) -> bool:
-    """Search for an order-preserving bijection, pruned by color refinement."""
-    if max(len(P), len(Q)) > max_size:
-        raise TooLarge(
-            f"isomorphism test capped at {max_size} elements, "
-            f"got {len(P)} and {len(Q)}"
-        )
-    if len(P) != len(Q):
+def is_order_isomorphism(P: Poset, Q: Poset, mapping) -> bool:
+    """Whether the label map `mapping`, read on the labels of P, takes P one
+    to one onto Q and carries each up-set of P onto the up-set of the image,
+    so that x <= y in P exactly when mapping[x] <= mapping[y] in Q.  Keys
+    that are no label of P are ignored; a label of P with no image fails."""
+    image = [Q.index.get(mapping.get(label)) for label in P.labels]
+    if len(P) != len(Q) or None in image or len(set(image)) != len(Q):
         return False
-    refined = _refine_colors(P, Q)
-    if refined is None:
-        return False
-    colors_p, colors_q = refined
-    by_color: dict[int, list[int]] = {}
-    for j, color in enumerate(colors_q):
-        by_color.setdefault(color, []).append(j)
-    order = sorted(range(len(P)), key=lambda i: (len(by_color[colors_p[i]]), i))
-    mapped_p: list[int] = []
-    mapped_q: list[int] = []
-    used = [False] * len(Q)
-
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        i = order[pos]
-        for j in by_color[colors_p[i]]:
-            if used[j]:
-                continue
-            ok = True
-            for i2, j2 in zip(mapped_p, mapped_q):
-                if (P.up[i] >> i2 & 1) != (Q.up[j] >> j2 & 1) or (
-                    P.up[i2] >> i & 1
-                ) != (Q.up[j2] >> j & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used[j] = True
-            mapped_p.append(i)
-            mapped_q.append(j)
-            if assign(pos + 1):
-                return True
-            used[j] = False
-            mapped_p.pop()
-            mapped_q.pop()
-        return False
-
-    return assign(0)
+    return all(
+        sum(1 << image[j] for j in _bits(above)) == Q.up[image[i]]
+        for i, above in enumerate(P.up)
+    )
 
 
 # -- serialization ---------------------------------------------------------------

@@ -68,6 +68,8 @@ CALLS = (
         ["verify", "--suite", "delannoy"],
         ["verify", "--suite", "tcheb-triangulation"],
         ["verify", "--suite", "pell"],
+        ["verify", "--suite", "typeb"],
+        ["verify", "--suite", "mixing"],
     ]
     + [
         ["poset", action, "--in", name]
@@ -125,6 +127,9 @@ DIGESTS = {
     "verify --suite tcheb-triangulation": (0, "ae13f06c8af1e47587494a02100bca6d0984daf9a362434d499c606b919b25a2"),
     # re-recorded when the case descriptions said one support per length
     "verify --suite pell": (0, "5b17574c4554be7da3b857f4849cf6bf58496c04e5b3784ae070bc95b6bb5732"),
+    # recorded while the isomorphism cases ran a capped search for any isomorphism
+    "verify --suite typeb": (0, "497b7a3701131f2590459b0ad4905a8f1424e82046aaa7dfacf9899cea5ad01d"),
+    "verify --suite mixing": (0, "adf92ec2d8bd44cd7ab5d20298776ddecc025b690c646e021108dc5f5c260c28"),
     # recorded before derived posets were built from index covers
     "poset intervals --in boolean3": (0, "7da1656b10d80d0b796d0d74e6c283130e0355827bbbc12b5ac10a9df9b0dee5"),
     "poset graded-intervals --in boolean3": (0, "b555733a76c3c3050a5ebbf88cace594983d8efafb2289a1caeb6be338af1ae0"),

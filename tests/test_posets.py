@@ -26,10 +26,11 @@ from posetops.posets import (
     generate,
     graded_interval_poset,
     induced_subposet,
+    interval_label,
     interval_poset,
     interval_subposet,
     is_eulerian,
-    is_isomorphic,
+    is_order_isomorphism,
     ladder_poset,
     pair_label,
     pell_number,
@@ -38,7 +39,13 @@ from posetops.posets import (
     second_kind_member_product,
     second_kind_transform,
 )
-from posetops.verify import SIZE_CAP, base_families, interval_ready_corpus
+from posetops.verify import (
+    SIZE_CAP,
+    base_families,
+    boolean_interval_faces,
+    interval_ready_corpus,
+    product_interval_map,
+)
 
 
 def elbow_poset():
@@ -150,6 +157,22 @@ def test_cube_lattice_shape():
     assert not Q2.leq("01", "*0")
 
 
+def crosspolytope_faces(n):
+    """The face {+1,-3} of the crosspolytope n goes to the cube word that is
+    1 at 1, 0 at 3 and * elsewhere, and the full face to the empty face: the
+    duality of the crosspolytope n and the n-cube."""
+    C = crosspolytope_lattice(n)
+    faces = {
+        F: "".join(
+            "1" if C.leq(f"{{+{k}}}", F) else "0" if C.leq(f"{{-{k}}}", F) else "*"
+            for k in range(1, n + 1)
+        )
+        for F in C.labels
+    }
+    faces[C.top] = "∅"
+    return faces
+
+
 def test_crosspolytope_lattice_shape():
     C2 = crosspolytope_lattice(2)
     assert len(C2) == 10
@@ -158,11 +181,18 @@ def test_crosspolytope_lattice_shape():
     assert C2.top_rank == 3
     assert C2.leq("{+1}", "{+1,-2}")
     assert not C2.leq("{+1}", "{-1}") and not C2.leq("{-1}", "{+1}")
-    assert is_isomorphic(C2, cube_lattice(2))
+    for n in (1, 2, 3):
+        assert is_order_isomorphism(
+            crosspolytope_lattice(n), cube_lattice(n).dual(), crosspolytope_faces(n)
+        )
 
 
 def test_crosspolytope_1_is_a_diamond():
-    assert is_isomorphic(crosspolytope_lattice(1), boolean_lattice(2))
+    assert is_order_isomorphism(
+        crosspolytope_lattice(1),
+        boolean_lattice(2),
+        {"∅": "{}", "{+1}": "{1}", "{-1}": "{2}", "⊤": "{1,2}"},
+    )
 
 
 def test_generate_dispatch():
@@ -192,7 +222,11 @@ def test_direct_product_of_boolean_squares():
     P = direct_product(B1, B1)
     assert len(P) == 4
     assert isinstance(P, GradedPoset)
-    assert is_isomorphic(P, boolean_lattice(2))
+    assert is_order_isomorphism(
+        P,
+        boolean_lattice(2),
+        {"({},{})": "{}", "({1},{})": "{1}", "({},{1})": "{2}", "({1},{1})": "{1,2}"},
+    )
     assert P.rank_of("({1},{})") == 1
 
 
@@ -207,7 +241,9 @@ def test_diamond_product_of_diamonds():
     D = diamond_product(I1, I1)
     assert len(D) == 10
     assert D.bottom == "0̂"
-    assert is_isomorphic(D, cube_lattice(2))
+    faces = boolean_interval_faces(1)
+    squares = {pair_label(u, v): faces[u] + faces[v] for u in faces for v in faces}
+    assert is_order_isomorphism(D, cube_lattice(2), {"0̂": "∅", **squares})
 
 
 def test_diamond_product_of_segments():
@@ -255,13 +291,13 @@ def test_graded_interval_poset_of_boolean_square():
     assert J.top_rank == 3
     assert J.rank_of("[{1},{1}]") == 1
     assert J.rank_of("[{},{1}]") == 2
-    assert is_isomorphic(J, cube_lattice(2))
+    assert is_order_isomorphism(J, cube_lattice(2), boolean_interval_faces(2))
 
 
 def test_graded_interval_poset_matches_cube_lattice_rank_3():
     J = graded_interval_poset(boolean_lattice(3))
     assert len(J) == 28
-    assert is_isomorphic(J, cube_lattice(3))
+    assert is_order_isomorphism(J, cube_lattice(3), boolean_interval_faces(3))
 
 
 def test_graded_interval_poset_of_chain():
@@ -274,9 +310,23 @@ def test_interval_subposet():
     B3 = boolean_lattice(3)
     upper = interval_subposet(B3, "{1}", "{1,2,3}")
     assert len(upper) == 4
-    assert is_isomorphic(upper, boolean_lattice(2))
+    assert is_order_isomorphism(
+        upper,
+        boolean_lattice(2),
+        {"{1}": "{}", "{1,2}": "{1}", "{1,3}": "{2}", "{1,2,3}": "{1,2}"},
+    )
     with pytest.raises(PosetOpsError):
         interval_subposet(B3, "{1}", "{2,3}")
+
+
+def subset(label):
+    return set(label.strip("{}").split(",")) - {""}
+
+
+def member_pairs(P):
+    """Each "[u,v]" to "(u,v)": a second-kind member onto the dual lower
+    interval times the upper interval."""
+    return {interval_label(u, v): pair_label(u, v) for u in P.labels for v in P.labels}
 
 
 def test_second_kind_transform_of_boolean_square():
@@ -284,12 +334,20 @@ def test_second_kind_transform_of_boolean_square():
     members = second_kind_transform(B2)
     assert len(members) == 4
     assert [x for x, _ in members] == list(B2.labels)
+    # within the member at x, [u,v] is determined by v minus u
+    differences = {
+        interval_label(u, v): "{" + ",".join(sorted(subset(v) - subset(u))) + "}"
+        for u in B2.labels
+        for v in B2.labels
+    }
     for x, member in members:
         assert len(member) == 4
         assert member.bottom == f"[{x},{x}]"
         assert member.top == "[{},{1,2}]"
-        assert is_isomorphic(member, B2)
-        assert is_isomorphic(member, second_kind_member_product(B2, x))
+        assert is_order_isomorphism(member, B2, differences)
+        assert is_order_isomorphism(
+            member, second_kind_member_product(B2, x), member_pairs(B2)
+        )
 
 
 def test_second_kind_member_sizes_on_boolean_cube():
@@ -299,7 +357,9 @@ def test_second_kind_member_sizes_on_boolean_cube():
     # |{intervals through x}| = 2**(3 - |x|) * 2**|x| = 8 for every x
     assert sizes == [8] * 8
     for x, member in members:
-        assert is_isomorphic(member, second_kind_member_product(B3, x))
+        assert is_order_isomorphism(
+            member, second_kind_member_product(B3, x), member_pairs(B3)
+        )
 
 
 def label_diamond_product(P, Q):
@@ -493,38 +553,51 @@ def test_induced_subposet_checks_labels():
         induced_subposet(B2, ["{}", "{}", "{1,2}"])
 
 
-def test_is_isomorphic_basics():
-    assert is_isomorphic(boolean_lattice(2), crosspolytope_lattice(1))
-    assert not is_isomorphic(boolean_lattice(3), chain_poset(7))
-    assert not is_isomorphic(boolean_lattice(2), chain_poset(2))
-    assert is_isomorphic(ladder_poset(2), ladder_poset(2).dual())
-    with pytest.raises(TooLarge):
-        is_isomorphic(boolean_lattice(3), boolean_lattice(3), max_size=4)
-
-
-def test_is_isomorphic_distinguishes_cover_patterns():
-    # same size and rank profile, different middle covers
-    full = ladder_poset(2)
-    sparse = GradedPoset(
-        list(full.labels),
-        [
-            ("0̂", "+1"),
-            ("0̂", "-1"),
-            ("+1", "+2"),
-            ("-1", "-2"),
-            ("+2", "1̂"),
-            ("-2", "1̂"),
-        ],
+def test_order_isomorphism_takes_the_named_maps_past_the_old_caps():
+    # 244 and 90 elements; the search these replace stopped at 64 and 128
+    J = graded_interval_poset(boolean_lattice(5))
+    assert len(J) == 244
+    assert is_order_isomorphism(J, cube_lattice(5), boolean_interval_faces(5))
+    A, B = boolean_lattice(2), chain_poset(3)
+    I = interval_poset(direct_product(A, B))
+    assert len(I) == 90
+    assert is_order_isomorphism(
+        I, direct_product(interval_poset(A), interval_poset(B)), product_interval_map(A, B)
     )
-    assert not is_isomorphic(full, sparse)
 
 
-def test_is_isomorphic_ignores_labeling():
-    B2 = boolean_lattice(2)
+def test_order_isomorphism_reads_the_map_not_the_labels():
     renamed = GradedPoset(
         ["w", "x", "y", "z"], [("w", "x"), ("w", "y"), ("x", "z"), ("y", "z")]
     )
-    assert is_isomorphic(B2, renamed)
+    mapping = {"{}": "w", "{1}": "x", "{2}": "y", "{1,2}": "z"}
+    assert is_order_isomorphism(boolean_lattice(2), renamed, mapping)
+    # keys that are no label of the source are ignored
+    assert is_order_isomorphism(boolean_lattice(2), renamed, {**mapping, "{3}": "w"})
+
+
+def test_order_isomorphism_refuses_wrong_maps():
+    J, cube = graded_interval_poset(boolean_lattice(2)), cube_lattice(2)
+    faces = boolean_interval_faces(2)
+    assert is_order_isomorphism(J, cube, faces)
+    # not one to one
+    assert not is_order_isomorphism(J, cube, {**faces, "[{},{}]": faces["[{1},{1}]"]})
+    # two images swapped
+    swapped = {**faces, "[{},{}]": faces["[{1},{1}]"], "[{1},{1}]": faces["[{},{}]"]}
+    assert not is_order_isomorphism(J, cube, swapped)
+    # * on S and 1 on T minus S
+    flipped = {k: v.translate(str.maketrans("1*", "*1")) for k, v in faces.items()}
+    assert not is_order_isomorphism(J, cube, flipped)
+    # partial, and images outside the target
+    partial = dict(faces)
+    del partial["[{},{1,2}]"]
+    assert not is_order_isomorphism(J, cube, partial)
+    assert not is_order_isomorphism(J, cube, {**faces, "∅": "2*"})
+    # a bijection that reverses the order
+    B2 = boolean_lattice(2)
+    assert not is_order_isomorphism(B2, B2.dual(), {x: x for x in B2.labels})
+    # different sizes
+    assert not is_order_isomorphism(B2, chain_poset(2), {"{}": "0", "{1}": "1", "{2}": "2"})
 
 
 def test_poset_round_trip():

@@ -171,7 +171,8 @@ def test_pell_suite_fails_exactly_the_lengths_its_recursion_miscounts(monkeypatc
     )
     cases = verify.support_count_cases(0)
     failed = [c["description"] for c in cases if not c["pass"]]
-    length_3 = [c["description"] for c in cases if " of length 3 " in c["description"]]
+    # P(m) + P(m+1) differs for each m, and the actual side does not read the recursion
+    length_3 = [c["description"] for c in cases if c["actual"] == [17]]
     assert length_3 and failed == length_3
 
 
@@ -182,5 +183,6 @@ def test_pell_suite_fails_every_corpus_case_without_containments(monkeypatch):
 
     monkeypatch.setattr(verify, "interval_poset", no_containments)
     cases = verify.support_count_cases(0)
-    corpus_cases = [c for c in cases if "bottom-to-top chain" in c["description"]]
+    # the corpus cases are the ones that compare lists of counts
+    corpus_cases = [c for c in cases if isinstance(c["expected"], list)]
     assert corpus_cases and not any(c["pass"] for c in corpus_cases)
