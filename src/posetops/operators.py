@@ -71,7 +71,7 @@ def _iota_word(word: str) -> NCPoly:
 # A dense ab-input of degree 12 takes about 3 s and 200 MB, and each degree
 # more 3x that; a dense cd-input of degree 12 takes 0.2 s and 25 MB, and each
 # two degrees more about 7x that.  The second-kind transform of a dense
-# ab-input takes 4.5 s and 434 MB at degree 12, and 15 s and 1.37 GB at 13.
+# ab-input takes 3-4.7 s and 297 MB at degree 12, and 12 s and 0.9 GB at 13.
 INTERVAL_MAX_DEGREE = 12
 
 
@@ -92,59 +92,38 @@ def upsilon_interval_transform(p: NCPoly) -> NCPoly:
 # -- mixing operator -------------------------------------------------------------
 
 @cache
-def _quasi_shuffle(alpha: tuple, beta: tuple) -> dict:
-    """Quasi-shuffle of two compositions: interleave parts, optionally
-    merging one part from each side.  The memo hands its dicts to every
-    caller, and none of them writes to one."""
-    if not alpha:
-        return {beta: 1}
-    if not beta:
-        return {alpha: 1}
-    out: dict[tuple, int] = {}
+def _quasi_shuffle(u: str, v: str) -> dict:
+    """Quasi-shuffle of two flag words, each read with a closing b so that
+    every block a^(k-1) b is one part: interleave the blocks, optionally
+    merging the first block of each side into one.  The memo hands its
+    dicts to every caller, and none of them writes to one."""
+    if not u or not v:
+        return {u + v: 1}
+    i, j = u.index("b") + 1, v.index("b") + 1
+    out: dict[str, int] = {}
     for head, rest in (
-        ((alpha[0],), _quasi_shuffle(alpha[1:], beta)),
-        ((beta[0],), _quasi_shuffle(alpha, beta[1:])),
-        ((alpha[0] + beta[0],), _quasi_shuffle(alpha[1:], beta[1:])),
+        (u[:i], _quasi_shuffle(u[i:], v)),
+        (v[:j], _quasi_shuffle(u, v[j:])),
+        (u[: i - 1] + "a" + v[:j], _quasi_shuffle(u[i:], v[j:])),
     ):
         _accumulate(out, ((head + tail, count) for tail, count in rest.items()))
     return out
 
 
-def _word_to_composition(word: str) -> tuple:
-    parts = []
-    run = 0
-    for letter in word:
-        if letter == "a":
-            run += 1
-        else:
-            parts.append(run + 1)
-            run = 0
-    parts.append(run + 1)
-    return tuple(parts)
+def _mix_ab_pairs(pairs: dict) -> NCPoly:
+    """Mix weighted pairs of ab-words, keyed "u|v": move every pair to the
+    flag basis (a -> a+b) at once, quasi-shuffle each pair of flag words into
+    one flag-basis total, and move that total back (a -> a-b) once."""
+    flags: dict[str, object] = {}
+    for key, coeff in _change_basis(pairs, 1).items():
+        u, v = key.split("|")
+        shuffled = _quasi_shuffle(u + "b", v + "b").items()
+        _accumulate(flags, ((word[:-1], coeff * count) for word, count in shuffled))
+    return NCPoly._wrap(AB, _change_basis(flags, -1))
 
 
-def _composition_to_word(parts: tuple) -> str:
-    return "b".join("a" * (part - 1) for part in parts)
-
-
-def _to_flags(p: NCPoly) -> dict:
-    """p in the flag basis (a -> a+b): composition -> coefficient."""
-    return {_word_to_composition(w): c for w, c in _change_basis(p.terms, 1).items()}
-
-
-def _mix_flag_pairs(pairs) -> NCPoly:
-    """Quasi-shuffle weighted pairs of flag compositions into one flag-basis
-    total and move that total back to ab-words (a -> a-b) once."""
-    flags: dict[tuple, object] = {}
-    for (alpha, beta), coeff in pairs:
-        shuffled = _quasi_shuffle(alpha, beta).items()
-        _accumulate(flags, ((parts, coeff * count) for parts, count in shuffled))
-    words = {_composition_to_word(parts): c for parts, c in flags.items()}
-    return NCPoly._wrap(AB, _change_basis(words, -1))
-
-
-# Dense ab-inputs of result degree 13 take up to about 1 s and 310 MB (degrees
-# 6 and 6), and at 14 up to 3.2 s and 0.9 GB (7 and 6).  Dense cd-inputs take
+# Dense ab-inputs of result degree 13 take 1.3-2.3 s and 196 MB (degrees 6
+# and 6), and at 14 take 5-7 s and 576 MB (7 and 6).  Dense cd-inputs take
 # about 0.3 s at degrees 6 and 6, 1.2-1.9 s and 68 MB at 7 and 7, and 11 s and
 # 371 MB at 8 and 8.  A constant argument, as in the pyramid, costs far less
 # and is not capped.
@@ -164,18 +143,15 @@ def _check_mixing_degrees(p: NCPoly, q: NCPoly) -> None:
 def mixing_ab(p: NCPoly, q: NCPoly) -> NCPoly:
     """Mix two ab-polynomials the way direct products mix flag counts.
 
-    Both arguments move to the flag-count basis (a -> a+b) once, every pair
-    of their compositions quasi-shuffles into one flag-basis total, and that
-    total moves back (a -> a-b) once.
+    Every pair of their words, keyed "u|v", moves to the flag-count basis
+    (a -> a+b) in one basis change and quasi-shuffles into one flag-basis
+    total, and that total moves back (a -> a-b) once.
     """
     if p.alphabet != AB or q.alphabet != AB:
         raise PosetOpsError("mixing acts on ab-polynomials")
     _check_mixing_degrees(p, q)
-    q_flags = _to_flags(q)
-    return _mix_flag_pairs(
-        ((alpha, beta), cu * cv)
-        for alpha, cu in _to_flags(p).items()
-        for beta, cv in q_flags.items()
+    return _mix_ab_pairs(
+        {u + "|" + v: cu * cv for u, cu in p.terms.items() for v, cv in q.terms.items()}
     )
 
 
@@ -294,11 +270,7 @@ def second_kind_ab_transform(p: NCPoly) -> NCPoly:
             for (u1, u2), count in _ab_coproduct_word(word).items()
         ),
     )
-    flag_pairs = (
-        (tuple(map(_word_to_composition, key.split("|"))), coeff)
-        for key, coeff in _change_basis(pairs, 1).items()
-    )
-    return p + p.star() + _mix_flag_pairs(flag_pairs)
+    return p + p.star() + _mix_ab_pairs(pairs)
 
 
 def _second_kind_word_cd(word: str) -> NCPoly:
@@ -340,13 +312,7 @@ def delannoy_mixing(i: int, j: int) -> NCPoly:
         raise InvalidSize("path endpoints need i, j >= 0")
     if i + j > DELANNOY_MAX_STEPS:
         raise TooLarge(f"path endpoints need i + j <= {DELANNOY_MAX_STEPS}")
-    return NCPoly._wrap(CD, dict(_delannoy_paths(i, j).terms))
-
-
-@cache
-def _delannoy_paths(i: int, j: int) -> NCPoly:
-    zero = NCPoly(CD)
-    west = [zero] * (j + 2)  # W(x - 1, y) at index y + 1
+    west = [NCPoly(CD)] * (j + 2)  # W(x - 1, y) at index y + 1
     for x in range(-1, i + 1):
         here = []  # W(x, y) at index y + 1
         for y in range(-1, j + 1):

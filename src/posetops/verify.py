@@ -847,11 +847,16 @@ def interval_eulerian_cases(seed: int = 0) -> list:
 # -- eigenvectors ----------------------------------------------------------------------
 
 
-# Kernel dimensions of the second-kind transform and dimensions of the
-# reversal-antisymmetric space at degrees 1..6; the kernel is strictly
-# larger from degree 5 on.
+# Frozen measurements of II at degrees 1..6: the kernel dimension, the
+# dimension of the reversal-antisymmetric space (the kernel is strictly
+# larger from degree 5 on), that of the symmetric space, which the 2^n
+# pyramid/lift compositions span, how many of those compositions II scales
+# by 2^(pyramids + 1), and the rank of their span.
 KERNEL_DIMS = (0, 1, 2, 6, 13, 30)
 ASYM_DIMS = (0, 1, 2, 6, 12, 28)
+SYM_DIMS = (2, 3, 6, 10, 20, 36)
+EIGEN_COUNTS = (2, 4, 7, 11, 16, 22)
+EIGEN_RANKS = (2, 3, 5, 7, 10, 13)
 
 
 @cache
@@ -906,17 +911,23 @@ def eigen_cases(seed: int = 0) -> list:
                 second_kind_ab_transform(mixed),
             )
         )
-    for rep in _eigen_reports():
-        n = rep["n"]
+    for n, rep in enumerate(_eigen_reports(), 1):
+        kernel, asym, sym = KERNEL_DIMS[n - 1], ASYM_DIMS[n - 1], SYM_DIMS[n - 1]
+        count, rank = EIGEN_COUNTS[n - 1], EIGEN_RANKS[n - 1]
+        expected = dict(
+            n=n, kernel_dim=kernel, asym_dim=asym, sym_dim=sym,
+            composition_count=2**n, composition_rank=sym,
+            eigen_composition_count=count, eigen_composition_rank=rank,
+            kernel_equals_asym=kernel == asym, eigen_spans_sym=rank == sym,
+            kernel_contains_asym=True, compositions_symmetric=True, spans_sym=True,
+        )
         cases.append(
             case(
-                f"degree {n} measurements: kernel dimension "
-                f"{KERNEL_DIMS[n - 1]} vs antisymmetric dimension "
-                f"{ASYM_DIMS[n - 1]}; pyramid/lift compositions span "
-                f"{rep['composition_rank']} of the {rep['sym_dim']}-dimensional "
-                f"symmetric space; {rep['eigen_composition_count']} of "
-                f"{rep['composition_count']} compositions are eigenvectors",
-                {**rep, "kernel_dim": KERNEL_DIMS[n - 1], "asym_dim": ASYM_DIMS[n - 1]},
+                f"degree {n} measurements: kernel dimension {kernel} vs "
+                f"antisymmetric dimension {asym}; pyramid/lift compositions "
+                f"span {sym} of the {sym}-dimensional symmetric space; "
+                f"{count} of {2**n} compositions are eigenvectors",
+                expected,
                 rep,
             )
         )

@@ -5,9 +5,11 @@ list or set that code writes to, or a `global` statement, would be a
 second memo idiom.  Every public module-level callable of a layer module
 is a plain function, so a tracer that rebinds the public names from
 outside (as perfbench/layers.py does, wrapping only FunctionType) still
-sees each call.  Every public module-level function and class of the
-library modules, and every public method of those classes, is used
-somewhere in the package, so no helper that nothing calls grows back.
+sees each call.  Every module-level function and class of the library
+modules, private ones included, and every non-dunder method of those
+classes, is used somewhere in the package, so no helper that nothing calls
+grows back.  No library method is named like a method of a builtin type,
+because a read of such a name cannot be told from the builtin one.
 """
 
 import ast
@@ -25,6 +27,15 @@ LIBRARY = ("posets", "flags", "ncpoly", "operators", "complexes")
 # is a statement about a suspension.
 UNUSED_ALLOWED = {"complexes.suspension"}
 PACKAGE_FILES = sorted(Path(posetops.__file__).parent.glob("*.py"))
+# A call such as `word.count("a")` reads the attribute `count`, so the
+# reference check cannot tell a library method of that name from the
+# builtin one; library methods keep clear of these names.
+BUILTIN_METHODS = {
+    name
+    for kind in (str, bytes, int, list, tuple, dict, set, frozenset)
+    for name in dir(kind)
+    if not name.startswith("_") and callable(getattr(kind, name))
+}
 MUTATORS = {
     "add",
     "append",
@@ -116,11 +127,15 @@ def test_public_callables_are_plain_functions(layer):
     assert wrapped == []
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _unreferenced(sources: dict) -> list:
-    """The public module-level functions and classes of the LIBRARY modules
-    among `sources` (module name -> text), and the public methods of those
-    classes, that no name or attribute in any of the sources reads, outside
-    the definition itself."""
+    """The module-level functions and classes of the LIBRARY modules among
+    `sources` (module name -> text), private ones included, and the
+    non-dunder methods of those classes, that no name or attribute in any of
+    the sources reads, outside the definition itself."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     readers: dict[str, list] = {}
     for tree in trees.values():
@@ -141,14 +156,14 @@ def _unreferenced(sources: dict) -> list:
         if module not in LIBRARY:
             continue
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             defined = [(node.name, node)]
             if isinstance(node, ast.ClassDef):
                 defined += [
                     (f"{node.name}.{method.name}", method)
                     for method in node.body
-                    if isinstance(method, ast.FunctionDef) and method.name[0] != "_"
+                    if isinstance(method, ast.FunctionDef) and not _dunder(method.name)
                 ]
             for name, definition in defined:
                 inside = set(map(id, ast.walk(definition)))
@@ -157,9 +172,43 @@ def _unreferenced(sources: dict) -> list:
     return found
 
 
+def _builtin_named_methods(sources: dict) -> list:
+    """The methods of the LIBRARY classes among `sources` that are named
+    like a method of a builtin type; slots and other attributes are not
+    methods."""
+    return [
+        f"{module}.{node.name}.{method.name}"
+        for module, text in sources.items()
+        if module in LIBRARY
+        for node in ast.parse(text).body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and method.name in BUILTIN_METHODS
+    ]
+
+
+def _package_sources() -> dict:
+    return {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_FILES}
+
+
 def test_every_public_function_and_class_is_used_in_the_package():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_FILES}
-    assert set(_unreferenced(sources)) == UNUSED_ALLOWED
+    assert set(_unreferenced(_package_sources())) == UNUSED_ALLOWED
+
+
+def test_no_library_method_is_named_like_a_builtin_method():
+    assert _builtin_named_methods(_package_sources()) == []
+
+
+def test_the_builtin_name_check_sees_a_count_method():
+    vector = (
+        "class FlagFVector:\n"
+        "    __slots__ = ('index',)\n\n"
+        "    def count(self, S):\n        return 0\n\n"
+        "    def sorted_items(self):\n        return []\n"
+    )
+    assert _builtin_named_methods({"flags": vector, "cli": vector}) == [
+        "flags.FlagFVector.count"
+    ]
 
 
 def test_the_reference_check_sees_an_unused_helper():
@@ -177,3 +226,18 @@ def test_the_reference_check_sees_an_unused_method():
     )
     caller = "from .posets import Shape\n\nVALUE = Shape().used()\n"
     assert _unreferenced({"posets": shape, "cli": caller}) == ["posets.Shape.unused"]
+
+
+def test_the_reference_check_sees_unused_private_helpers():
+    helper = (
+        "def _used():\n    return 1\n\n\n"
+        "def _unused(word):\n    return _unused(word[1:])\n\n\n"
+        "class Shape:\n"
+        "    def __len__(self):\n        return _used()\n\n"
+        "    def _unused_method(self):\n        return 2\n"
+    )
+    caller = "from .operators import Shape\n\nVALUE = len(Shape())\n"
+    assert _unreferenced({"operators": helper, "cli": caller}) == [
+        "operators._unused",
+        "operators.Shape._unused_method",
+    ]

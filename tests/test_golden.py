@@ -70,6 +70,8 @@ CALLS = (
         ["verify", "--suite", "pell"],
         ["verify", "--suite", "typeb"],
         ["verify", "--suite", "mixing"],
+        ["verify", "--suite", "ii"],
+        ["verify", "--suite", "eigen"],
     ]
     + [
         ["poset", action, "--in", name]
@@ -130,6 +132,10 @@ DIGESTS = {
     # recorded while the isomorphism cases ran a capped search for any isomorphism
     "verify --suite typeb": (0, "497b7a3701131f2590459b0ad4905a8f1424e82046aaa7dfacf9899cea5ad01d"),
     "verify --suite mixing": (0, "adf92ec2d8bd44cd7ab5d20298776ddecc025b690c646e021108dc5f5c260c28"),
+    # recorded while op M and op IIab quasi-shuffled composition tuples; the
+    # eigen suite exits 1 on the two lift witnesses (README, check 11)
+    "verify --suite ii": (0, "c5d7f675926fd2b94207fffb34f8d1aabb7fb606843b309bdbca90597723bbc3"),
+    "verify --suite eigen": (1, "4f8675a9d6193670675ddb250b0204ef70bfe7ae78b70ee6b5615f15017b54ac"),
     # recorded before derived posets were built from index covers
     "poset intervals --in boolean3": (0, "7da1656b10d80d0b796d0d74e6c283130e0355827bbbc12b5ac10a9df9b0dee5"),
     "poset graded-intervals --in boolean3": (0, "b555733a76c3c3050a5ebbf88cace594983d8efafb2289a1caeb6be338af1ae0"),

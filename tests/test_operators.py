@@ -95,26 +95,78 @@ def test_iota_rejects_cd_input():
 # -- quasi-shuffle and the ab mixing ----------------------------------------------
 
 
+@cache
+def quasi_shuffle(alpha, beta):
+    """Quasi-shuffle of two compositions, the product of monomial
+    quasisymmetric functions: interleave the parts, optionally merging one
+    part from each side."""
+    if not alpha or not beta:
+        return {alpha + beta: 1}
+    out = {}
+    for head, rest in (
+        ((alpha[0],), quasi_shuffle(alpha[1:], beta)),
+        ((beta[0],), quasi_shuffle(alpha, beta[1:])),
+        ((alpha[0] + beta[0],), quasi_shuffle(alpha[1:], beta[1:])),
+    ):
+        for tail, count in rest.items():
+            out[head + tail] = out.get(head + tail, 0) + count
+    return out
+
+
+def compositions(m):
+    """Every composition of m, as a tuple of parts; () for m = 0."""
+    if m == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, m + 1) for rest in compositions(m - k)]
+
+
+def closed_word(parts):
+    """The flag word of a composition read with a closing b: one block
+    a^(k-1) b per part k."""
+    return "".join("a" * (part - 1) + "b" for part in parts)
+
+
 def test_quasi_shuffle_of_singletons():
-    assert _quasi_shuffle((1,), (1,)) == {(1, 1): 2, (2,): 1}
-    assert _quasi_shuffle((1,), (1, 1)) == {(1, 1, 1): 3, (2, 1): 1, (1, 2): 1}
-    assert _quasi_shuffle((2,), (1, 1)) == {
-        (2, 1, 1): 1,
-        (1, 2, 1): 1,
-        (1, 1, 2): 1,
-        (3, 1): 1,
-        (1, 3): 1,
+    assert _quasi_shuffle("b", "b") == {"bb": 2, "ab": 1}
+    assert _quasi_shuffle("b", "bb") == {"bbb": 3, "abb": 1, "bab": 1}
+    assert _quasi_shuffle("ab", "bb") == {
+        "abbb": 1,
+        "babb": 1,
+        "bbab": 1,
+        "aabb": 1,
+        "baab": 1,
     }
 
 
 def test_quasi_shuffle_square():
-    assert _quasi_shuffle((1, 1), (1, 1)) == {
+    assert _quasi_shuffle("bb", "bb") == {
+        "bbbb": 6,
+        "abbb": 2,
+        "babb": 2,
+        "bbab": 2,
+        "abab": 1,
+    }
+    assert quasi_shuffle((1, 1), (1, 1)) == {
         (1, 1, 1, 1): 6,
         (2, 1, 1): 2,
         (1, 2, 1): 2,
         (1, 1, 2): 2,
         (2, 2): 1,
     }
+
+
+def test_word_quasi_shuffle_matches_the_composition_quasi_shuffle():
+    assert [len(compositions(m)) for m in range(5)] == [1, 1, 2, 4, 8]
+    for total in range(11):
+        for m in range(total + 1):
+            for alpha in compositions(m):
+                for beta in compositions(total - m):
+                    expected = {
+                        closed_word(parts): count
+                        for parts, count in quasi_shuffle(alpha, beta).items()
+                    }
+                    got = _quasi_shuffle(closed_word(alpha), closed_word(beta))
+                    assert got == expected, (alpha, beta)
 
 
 def test_mixing_ab_base_cases():
@@ -627,7 +679,7 @@ def mixing_ab_by_word_pairs(p, q):
             v_flags = substitute(monomial(AB, v), TO_FLAGS).terms
             for uw, c1 in substitute(monomial(AB, u), TO_FLAGS).terms.items():
                 for vw, c2 in v_flags.items():
-                    shuffled = _quasi_shuffle(composition(uw), composition(vw))
+                    shuffled = quasi_shuffle(composition(uw), composition(vw))
                     for parts, count in shuffled.items():
                         word = composition_word(parts)
                         mixed[word] = mixed.get(word, 0) + c1 * c2 * count

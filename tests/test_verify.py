@@ -136,6 +136,23 @@ def test_eigen_suite_reports_the_two_known_lift_failures():
     assert "boolean 4" in texts[1]
 
 
+def test_eigen_measurements_fail_when_any_measured_field_is_off(monkeypatch):
+    # the expected side is frozen, so no field is compared with itself
+    reports = verify._eigen_reports()
+    for field in reports[0]:
+        off = tuple(
+            {**rep, field: not value if type(value) is bool else value + 1}
+            for rep in reports
+            for value in [rep[field]]
+        )
+        monkeypatch.setattr(verify, "_eigen_reports", lambda: off)
+        measured = [
+            c for c in verify.eigen_cases(0)
+            if isinstance(c["actual"], dict) and "kernel_dim" in c["actual"]
+        ]
+        assert len(measured) == 6 and not any(c["pass"] for c in measured), field
+
+
 def test_prefix_walk_finds_the_f_vectors_of_every_edge_order(monkeypatch):
     calls = []
 
