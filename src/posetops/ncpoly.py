@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .errors import AlphabetMismatch, MissingImage, NotExpressible, NotHomogeneous
 
@@ -290,22 +291,26 @@ def _cd_words(n: int) -> tuple[str, ...]:
 
 
 def matrix_rank(columns: list[dict]) -> int:
-    """Rank of the sparse column family over the rationals (Gauss-Jordan)."""
-    keys = sorted(set().union(*columns)) if columns else []
-    rows = [[Fraction(col.get(k, 0)) for col in columns] for k in keys]
-    rank = 0
-    for c in range(len(columns)):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+    """Rank of the sparse column family over the rationals, by Bareiss's
+    fraction-free forward elimination (Math. Comp. 22, 1968).  Each column is
+    scaled to ints by the lcm of its denominators, which keeps the rank; every
+    later entry is a minor of that int matrix, so each division by the
+    previous pivot is exact.  No row is normalised or reduced above its pivot."""
+    keys = sorted(set().union(*columns))
+    scales = [lcm(*(c.denominator for c in col.values())) for col in columns]
+    rows = [[int(col.get(k, 0) * s) for k in keys] for col, s in zip(columns, scales)]
+    rank, previous = 0, 1
+    for j in range(len(keys)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
-        rank += 1
+        top = rows[rank][j:]
+        p = top[0]
+        for row in rows[rank + 1 :]:
+            lead = row[j]
+            row[j:] = [(p * v - lead * w) // previous for v, w in zip(row[j:], top)]
+        rank, previous = rank + 1, p
     return rank
 
 

@@ -11,8 +11,8 @@ into flags (a -> a + b) and once back (a -> a - b).  So `op Iab` is iota
 (`op iota`) between the two basis changes; the tests keep the per-word ab
 recursion as its oracle.  All three interval transforms (`op iota`, `op Iab`
 and `op Icd`) and the second-kind transform `op IIab` refuse degrees over
-INTERVAL_MAX_DEGREE; `op M` of two non-constant ab- or cd-polynomials refuses
-result degrees over MIXING_MAX_DEGREE.
+INTERVAL_MAX_DEGREE; `op M` and `op pyr` refuse result degrees over
+MIXING_MAX_DEGREE.
 """
 
 from fractions import Fraction
@@ -125,16 +125,16 @@ def _mix_ab_pairs(pairs: dict) -> NCPoly:
 # Dense ab-inputs of result degree 13 take 1.3-2.3 s and 196 MB (degrees 6
 # and 6), and at 14 take 5-7 s and 576 MB (7 and 6).  Dense cd-inputs take
 # about 0.3 s at degrees 6 and 6, 1.2-1.9 s and 68 MB at 7 and 7, and 11 s and
-# 371 MB at 8 and 8.  A constant argument, as in the pyramid, costs far less
-# and is not capped.
+# 371 MB at 8 and 8.  A constant argument, as in the pyramid, is capped alike:
+# uncapped, the pyramid of a^20 ran past 40 s and 3.7 GB.
 MIXING_MAX_DEGREE = 13
 
 
 def _check_mixing_degrees(p: NCPoly, q: NCPoly) -> None:
-    """Refuse two non-constant arguments whose result degree
-    (deg p + deg q + 1) is over MIXING_MAX_DEGREE."""
+    """Refuse arguments whose result degree (deg p + deg q + 1) is over
+    MIXING_MAX_DEGREE."""
     i, j = p.degree(), q.degree()
-    if min(i, j) >= 1 and i + j + 1 > MIXING_MAX_DEGREE:
+    if i + j + 1 > MIXING_MAX_DEGREE:
         raise TooLarge(
             f"result degree {i + j + 1} exceeds the cap of {MIXING_MAX_DEGREE}"
         )
@@ -403,6 +403,7 @@ def eigen_experiments(max_n: int) -> list:
     if max_n > 7:
         raise TooLarge("degree capped at 7 to keep exact kernels tractable")
     results = []
+    layer = [(unit(AB), 0)]  # the pyramid/lift compositions, with pyramid counts
     for n in range(1, max_n + 1):
         words = ab_words(n)
         columns = [second_kind_ab_transform(monomial(AB, w)).terms for w in words]
@@ -414,21 +415,11 @@ def eigen_experiments(max_n: int) -> list:
         )
         sym_dim = len(words) - asym_dim
 
-        compositions = []
-        eigen_compositions = []
-        for bits in range(2**n):
-            vector = unit(AB)
-            pyr_count = 0
-            for step in range(n):
-                if bits >> step & 1:
-                    vector = pyramid(vector)
-                    pyr_count += 1
-                else:
-                    vector = lift(vector)
-            compositions.append(vector)
-            expected = vector.scaled(2 ** (pyr_count + 1))
-            if second_kind_ab_transform(vector) == expected:
-                eigen_compositions.append(vector)
+        layer = [(lift(v), k) for v, k in layer] + [(pyramid(v), k + 1) for v, k in layer]
+        compositions = [v for v, _ in layer]
+        eigen_compositions = [
+            v for v, k in layer if second_kind_ab_transform(v) == v.scaled(2 ** (k + 1))
+        ]
         composition_rank = matrix_rank([v.terms for v in compositions])
         eigen_rank = matrix_rank([v.terms for v in eigen_compositions])
         all_symmetric = all(v.star() == v for v in compositions)
@@ -442,7 +433,7 @@ def eigen_experiments(max_n: int) -> list:
                 "kernel_equals_asym": kernel_contains_asym
                 and kernel_dim == asym_dim,
                 "sym_dim": sym_dim,
-                "composition_count": 2**n,
+                "composition_count": len(compositions),
                 "eigen_composition_count": len(eigen_compositions),
                 "composition_rank": composition_rank,
                 "eigen_composition_rank": eigen_rank,

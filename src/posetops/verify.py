@@ -859,11 +859,6 @@ EIGEN_COUNTS = (2, 4, 7, 11, 16, 22)
 EIGEN_RANKS = (2, 3, 5, 7, 10, 13)
 
 
-@cache
-def _eigen_reports() -> tuple:
-    return tuple(eigen_experiments(6))
-
-
 def eigen_cases(seed: int = 0) -> list:
     """Eigenvalues of the second-kind transform and kernel measurements."""
     cases = []
@@ -911,7 +906,7 @@ def eigen_cases(seed: int = 0) -> list:
                 second_kind_ab_transform(mixed),
             )
         )
-    for n, rep in enumerate(_eigen_reports(), 1):
+    for n, rep in enumerate(eigen_experiments(6), 1):
         kernel, asym, sym = KERNEL_DIMS[n - 1], ASYM_DIMS[n - 1], SYM_DIMS[n - 1]
         count, rank = EIGEN_COUNTS[n - 1], EIGEN_RANKS[n - 1]
         expected = dict(

@@ -385,6 +385,30 @@ def test_op_mixing_with_a_constant_is_not_capped(tmp_path, capsys):
     assert code == 0 and err == "" and mixed == pyr
 
 
+@pytest.mark.parametrize(
+    "alphabet, letter, n", [("ab", "a", 20), ("ab", "b", 3000), ("cd", "c", 3000)]
+)
+def test_op_pyramid_refuses_result_degrees_over_the_cap(tmp_path, capsys, alphabet, letter, n):
+    # uncapped, the first ran past 40 s and 3.7 GB and the other two
+    # overflowed the recursion
+    poly = tmp_path / "p.json"
+    write_poly(poly, alphabet, [(letter * n, 1, 1)])
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, ["op", "pyr", "--in", str(poly)])
+    assert time.perf_counter() - started < 5
+    assert_refused(code, out, err)
+    assert f"result degree {n + 1}" in err
+
+
+@pytest.mark.parametrize("command", [["op", "iota"], ["index", "ab"]])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, command + ["--in", str(deep)])
+    assert_refused(code, out, err)
+    assert "nests too deeply" in err
+
+
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     argv = ["index", "upsilon", "--kind", "cube", "--n", "2"]
     _, first, _ = run_cli(capsys, argv)

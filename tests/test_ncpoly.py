@@ -11,7 +11,8 @@ from posetops.errors import (
     NotHomogeneous,
 )
 from posetops.ncpoly import AB, CD, CE, NCPoly
-from posetops.operators import _ab_coproduct_word
+from posetops.operators import _ab_coproduct_word, second_kind_ab_transform
+from posetops.verify import KERNEL_DIMS
 
 
 def P(alphabet, terms):
@@ -311,3 +312,92 @@ def test_coefficients_are_int_while_integral():
     assert all(type(c) is int for c in q.terms.values())
     total = P(CE, {"cc": Fraction(1, 2), "ee": Fraction(1, 2)}).coefficient_total()
     assert type(total) is int and total == 1
+
+
+# -- exact rank: fraction-free elimination against Gauss-Jordan -------------------
+
+
+def gauss_jordan_rank(columns):
+    """The oracle: Gauss-Jordan over Fraction, each pivot row normalised and
+    cleared above and below."""
+    keys = sorted(set().union(*columns)) if columns else []
+    rows = [[Fraction(col.get(k, 0)) for col in columns] for k in keys]
+    rank = 0
+    for c in range(len(columns)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][c]
+        rows[rank] = [v / pv for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _random_entry(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-6, 6)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def _random_family(rng):
+    """A sparse column family of random shape: wide or tall, with empty
+    columns, explicit zero entries, repeated columns, scaled copies and
+    combinations of a few base columns (so that pivots get skipped)."""
+    words = ncpoly.ab_words(rng.randint(0, 3))
+    keys = rng.sample(words, rng.randint(1, len(words)))
+    columns = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random() if columns else 0.4 * rng.random()
+        if kind < 0.3:
+            columns.append({k: _random_entry(rng) for k in keys if rng.random() < 0.4})
+        elif kind < 0.4:
+            columns.append({} if rng.random() < 0.5 else {rng.choice(keys): 0})
+        elif kind < 0.5:
+            columns.append(dict(rng.choice(columns)))
+        elif kind < 0.6:
+            r = _random_entry(rng) or 1
+            columns.append({k: r * v for k, v in rng.choice(columns).items()})
+        else:
+            total = {}
+            for col in rng.sample(columns, rng.randint(1, min(3, len(columns)))):
+                r = _random_entry(rng)
+                for k, v in col.items():
+                    total[k] = total.get(k, 0) + r * v
+            columns.append(total)
+    rng.shuffle(columns)
+    return columns
+
+
+def test_matrix_rank_matches_gauss_jordan_on_random_families():
+    rng = random.Random(16)
+    ranks = set()
+    for _ in range(3000):
+        columns = _random_family(rng)
+        rank = ncpoly.matrix_rank(columns)
+        assert rank == gauss_jordan_rank(columns), columns
+        ranks.add((rank, len(columns)))
+    # the families reach full and deficient rank, wide and tall
+    assert any(r == n > 0 for r, n in ranks) and any(0 < r < n for r, n in ranks)
+    assert (0, 0) in ranks and max(n for _, n in ranks) == 9
+
+
+def test_matrix_rank_skips_a_pivot_column():
+    # after the first pivot, "b" is zero in every row left, so the
+    # elimination passes over it to "c"
+    columns = [{"a": 1, "b": 1}, {"a": 2, "b": 2}, {"c": Fraction(1, 3)}]
+    assert ncpoly.matrix_rank(columns) == gauss_jordan_rank(columns) == 2
+    assert ncpoly.matrix_rank([]) == ncpoly.matrix_rank([{}, {"a": 0}]) == 0
+
+
+def test_second_kind_matrices_give_the_frozen_kernel_dimensions():
+    for n, kernel in enumerate(KERNEL_DIMS, 1):
+        words = ncpoly.ab_words(n)
+        columns = [second_kind_ab_transform(P(AB, {w: 1})).terms for w in words]
+        rank = ncpoly.matrix_rank(columns)
+        assert len(words) - rank == kernel, n
+        assert gauss_jordan_rank(columns) == rank, n

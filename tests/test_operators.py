@@ -21,6 +21,7 @@ from posetops.ncpoly import (
 from posetops.operators import (
     INTERVAL_MAX_DEGREE,
     _ab_coproduct_word,
+    _mixing_cd_words,
     _quasi_shuffle,
     ab_interval_transform,
     cd_interval_transform,
@@ -463,7 +464,11 @@ def test_delannoy_rejects_negative():
 
 
 def test_delannoy_caps_the_path_length():
-    assert delannoy_mixing(20, 0) == mixing_cd(monomial(CD, "c" * 20), unit(CD))
+    # mixing_cd refuses result degree 21, so the longest path meets the word
+    # recursion behind it
+    assert delannoy_mixing(20, 0) == _mixing_cd_words("c" * 20, "")
+    with pytest.raises(TooLarge):
+        mixing_cd(monomial(CD, "c" * 20), unit(CD))
     with pytest.raises(TooLarge):
         delannoy_mixing(11, 10)
     with pytest.raises(TooLarge):
@@ -623,6 +628,26 @@ def test_eigen_experiments_shape_and_small_values():
         assert row["spans_sym"]
     assert [row["eigen_composition_count"] for row in results] == [2, 4, 7]
     assert [row["eigen_spans_sym"] for row in results] == [True, True, False]
+
+
+def test_eigen_experiments_at_degree_seven():
+    # the one degree the eigen suite does not reach: the pyramid/lift
+    # compositions fall one short of the symmetric space
+    assert eigen_experiments(7)[-1] == {
+        "n": 7,
+        "kernel_dim": 63,
+        "asym_dim": 56,
+        "kernel_contains_asym": True,
+        "kernel_equals_asym": False,
+        "sym_dim": 72,
+        "composition_count": 128,
+        "eigen_composition_count": 29,
+        "composition_rank": 71,
+        "eigen_composition_rank": 17,
+        "compositions_symmetric": True,
+        "spans_sym": False,
+        "eigen_spans_sym": False,
+    }
 
 
 def test_eigen_experiments_caps():

@@ -138,14 +138,14 @@ def test_eigen_suite_reports_the_two_known_lift_failures():
 
 def test_eigen_measurements_fail_when_any_measured_field_is_off(monkeypatch):
     # the expected side is frozen, so no field is compared with itself
-    reports = verify._eigen_reports()
+    reports = verify.eigen_experiments(6)
     for field in reports[0]:
-        off = tuple(
+        off = list(
             {**rep, field: not value if type(value) is bool else value + 1}
             for rep in reports
             for value in [rep[field]]
         )
-        monkeypatch.setattr(verify, "_eigen_reports", lambda: off)
+        monkeypatch.setattr(verify, "eigen_experiments", lambda max_n: off)
         measured = [
             c for c in verify.eigen_cases(0)
             if isinstance(c["actual"], dict) and "kernel_dim" in c["actual"]
