@@ -132,9 +132,9 @@ MIXING_MAX_DEGREE = 13
 
 def _check_mixing_degrees(p: NCPoly, q: NCPoly) -> None:
     """Refuse arguments whose result degree (deg p + deg q + 1) is over
-    MIXING_MAX_DEGREE."""
+    MIXING_MAX_DEGREE.  A zero argument (degree -1) makes the result zero."""
     i, j = p.degree(), q.degree()
-    if i + j + 1 > MIXING_MAX_DEGREE:
+    if min(i, j) >= 0 and i + j + 1 > MIXING_MAX_DEGREE:
         raise TooLarge(
             f"result degree {i + j + 1} exceeds the cap of {MIXING_MAX_DEGREE}"
         )

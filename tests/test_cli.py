@@ -400,6 +400,19 @@ def test_op_pyramid_refuses_result_degrees_over_the_cap(tmp_path, capsys, alphab
     assert f"result degree {n + 1}" in err
 
 
+def test_op_mixing_with_zero_gives_zero_past_the_cap(tmp_path, capsys):
+    zero, p = tmp_path / "zero.json", tmp_path / "p.json"
+    write_poly(zero, "ab", [])
+    write_poly(p, "ab", [("a" * 14, 1, 1)])
+    for argv in (
+        ["M", "--in", str(zero), "--in2", str(p)],
+        ["M", "--in", str(p), "--in2", str(zero)],
+        ["pyr", "--in", str(zero)],
+    ):
+        code, out, err = run_cli(capsys, ["op"] + argv)
+        assert code == 0 and err == "" and json.loads(out)["terms"] == []
+
+
 @pytest.mark.parametrize("command", [["op", "iota"], ["index", "ab"]])
 def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
     deep = tmp_path / "deep.json"
