@@ -72,6 +72,8 @@ def _load_json(path: str):
         raise PosetOpsError(f"cannot read {path}: {error}") from error
     except json.JSONDecodeError as error:
         raise PosetOpsError(f"{path} is not valid JSON: {error}") from error
+    except ValueError as error:  # not UTF-8, or an integer too long for CPython
+        raise PosetOpsError(f"{path} cannot be read as JSON: {error}") from error
     except RecursionError as error:
         raise PosetOpsError(f"{path} nests too deeply to read") from error
 

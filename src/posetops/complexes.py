@@ -3,7 +3,11 @@ univariate polynomial transforms that go with them.
 
 Faces are stored explicitly (every face, not just facets), so subdivision
 and links stay auditable at desk scale.  A global face cap keeps runaway
-constructions from exhausting memory.
+constructions from exhausting memory.  `SimplicialComplex(faces)` is the
+door for outside faces and refuses a family that is not closed downward.
+`from_facets`, `link`, `join`, `stellar_subdivide` and `order_complex`
+close their faces by construction and build through
+`SimplicialComplex._wrap`, which sees only to the cap and the empty face.
 """
 
 from fractions import Fraction
@@ -88,38 +92,43 @@ class SimplicialComplex:
     __slots__ = ("faces", "vertices")
 
     def __init__(self, faces):
-        face_set = {frozenset(f) for f in faces}
-        face_set.add(frozenset())
-        if len(face_set) > FACE_CAP:
-            raise TooLarge(f"{len(face_set)} faces exceed the cap of {FACE_CAP}")
-        for face in face_set:
+        """The complex on outside faces, which must be closed downward."""
+        self._fill({frozenset(f) for f in faces})
+        for face in self.faces:
             for v in face:
-                if face - {v} not in face_set:
+                if face - {v} not in self.faces:
                     raise PosetOpsError(
                         f"face {sorted(face)} present without its subset "
                         f"{sorted(face - {v})}"
                     )
-        self.faces = frozenset(face_set)
-        self.vertices = tuple(sorted({v for face in face_set for v in face}))
+
+    @classmethod
+    def _wrap(cls, faces: set) -> "SimplicialComplex":
+        """The complex on a downward closed set of frozensets built from checked
+        input, so only the face cap and the empty face are seen to."""
+        K = cls.__new__(cls)
+        K._fill(faces)
+        return K
+
+    def _fill(self, faces: set) -> None:
+        faces.add(frozenset())
+        if len(faces) > FACE_CAP:
+            raise TooLarge(f"{len(faces)} faces exceed the cap of {FACE_CAP}")
+        self.faces = frozenset(faces)
+        self.vertices = tuple(sorted({v for face in faces for v in face}))
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":
         closed: set[frozenset] = set()
-        for facet in facets:
-            facet = frozenset(facet)
-            stack = [facet]
-            while stack:
-                face = stack.pop()
-                if face in closed:
-                    continue
+        stack = [frozenset(facet) for facet in facets]
+        while stack:
+            face = stack.pop()
+            if face not in closed:
                 closed.add(face)
                 if len(closed) > FACE_CAP:
-                    raise TooLarge(
-                        f"more than {FACE_CAP} faces in the downward closure"
-                    )
-                for v in face:
-                    stack.append(face - {v})
-        return cls(closed)
+                    raise TooLarge(f"more than {FACE_CAP} faces in the downward closure")
+                stack += [face - {v} for v in face]
+        return cls._wrap(closed)
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -172,7 +181,7 @@ def link(K: SimplicialComplex, face) -> SimplicialComplex:
     face = frozenset(face)
     if face not in K.faces:
         raise FaceNotInComplex(f"{sorted(face)} is not a face")
-    return SimplicialComplex({f - face for f in K.faces if face <= f})
+    return SimplicialComplex._wrap({f - face for f in K.faces if face <= f})
 
 
 def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
@@ -183,7 +192,7 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
         l_faces = {frozenset("R:" + v for v in f) for f in l_faces}
     if len(k_faces) * len(l_faces) > FACE_CAP:
         raise TooLarge("join would exceed the face cap")
-    return SimplicialComplex({g | h for g in k_faces for h in l_faces})
+    return SimplicialComplex._wrap({g | h for g in k_faces for h in l_faces})
 
 
 def suspension(K: SimplicialComplex) -> SimplicialComplex:
@@ -216,7 +225,7 @@ def stellar_subdivide(K: SimplicialComplex, edge) -> SimplicialComplex:
             kept.add(f)
     for g in (frozenset({m}), frozenset({m, u}), frozenset({m, v})):
         kept.update(g | h for h in star)
-    return SimplicialComplex(kept)
+    return SimplicialComplex._wrap(kept)
 
 
 def tchebyshev_triangulation(K: SimplicialComplex, edge_order=None) -> SimplicialComplex:
@@ -230,10 +239,8 @@ def tchebyshev_triangulation(K: SimplicialComplex, edge_order=None) -> Simplicia
         chosen = original
     else:
         chosen = [tuple(sorted(e)) for e in edge_order]
-        if sorted(chosen) != sorted(original) or len(chosen) != len(original):
-            raise NotAnEdgePermutation(
-                "edge_order must list each original edge exactly once"
-            )
+        if sorted(chosen) != sorted(original):
+            raise NotAnEdgePermutation("edge_order must list each original edge exactly once")
     out = K
     for edge in chosen:
         out = stellar_subdivide(out, edge)
@@ -255,12 +262,9 @@ def second_kind_links(TK: SimplicialComplex, original_vertices) -> list:
 
 def order_complex(P: Poset, strip_extremes: bool = False) -> SimplicialComplex:
     """Chains of the poset as faces; optionally drop bottom and top first."""
-    if strip_extremes:
-        if not isinstance(P, GradedPoset):
-            raise PosetOpsError("only bounded graded posets have extremes to strip")
-        skip = {P.bottom_index, P.top_index}
-    else:
-        skip = set()
+    if strip_extremes and not isinstance(P, GradedPoset):
+        raise PosetOpsError("only bounded graded posets have extremes to strip")
+    skip = {P.bottom_index, P.top_index} if strip_extremes else set()
     indices = [i for i in range(len(P.labels)) if i not in skip]
     above = {
         i: [j for j in indices if j != i and P.up[i] >> j & 1] for i in indices
@@ -277,4 +281,4 @@ def order_complex(P: Poset, strip_extremes: bool = False) -> SimplicialComplex:
 
     for i in indices:
         visit(i, ())
-    return SimplicialComplex(faces)
+    return SimplicialComplex._wrap(faces)

@@ -18,15 +18,15 @@ The ab-index is the flag polynomial under a -> a-b, done one letter
 position at a time by `ncpoly._change_basis`, the one ab <-> flag routine
 of the package: (n - 1) passes over at most 2^(n - 1) words.
 
-Both read only the order: the ranks P.rank and the down-sets P.down, in
-element numbering, and not the labels.  So each is memoized with
-functools.cache on that pair: `_flag_counts` holds the rank-mask counts
-and `_ab_terms` the ab-index terms, one entry per order structure met in
-the process.  Relabeled posets, and the routes of a check that number
-their elements alike, share one entry.  The public functions stay plain
-functions and hand out copies, so a caller that writes to a result
-cannot change the next one.  The words of the rank masks are kept once
-per rank, by `_mask_words`.
+The counts read only the order: the ranks P.rank and the down-sets
+P.down, in element numbering, and not the labels.  So they are memoized
+with functools.cache on that pair by `_flag_counts`, one entry per order
+structure met in the process.  Relabeled posets, and the routes of a check
+that number their elements alike, share one entry.  The public functions
+stay plain functions and hand out fresh values, so a caller that writes to
+a result cannot change the next one; the ab-index changes the basis of the
+words `upsilon` hands out.  The words of the rank masks are kept once per
+rank, by `_mask_words`.
 
 Two caps refuse input that could not finish, with TooLarge: a top rank
 over FLAG_RANK_CAP, since the flag vector of rank n has 2^(n - 1) nonzero
@@ -148,12 +148,6 @@ def _flag_counts(rank: tuple, down: tuple) -> dict:
     return counts
 
 
-def _flag_words(n: int, counts: dict) -> dict:
-    """Each rank mask as the word with letter b at its ranks and a elsewhere."""
-    words = _mask_words(n)
-    return {words[mask]: count for mask, count in counts.items()}
-
-
 @cache
 def _mask_words(n: int) -> tuple:
     return tuple(
@@ -168,18 +162,13 @@ def upsilon(P: GradedPoset) -> NCPoly:
     fv = flag_f_vector(P)
     if fv.n < 1:
         raise PosetOpsError("the poset must have rank at least 1")
-    return NCPoly._wrap(AB, _flag_words(fv.n, fv.counts))
+    words = _mask_words(fv.n)
+    return NCPoly._wrap(AB, {words[mask]: count for mask, count in fv.counts.items()})
 
 
 def ab_index(P: GradedPoset) -> NCPoly:
     """The flag polynomial under a -> a-b, one letter position at a time."""
-    upsilon(P)  # the caps and the rank check, on every call
-    return NCPoly._wrap(AB, dict(_ab_terms(P.rank, P.down)))
-
-
-@cache
-def _ab_terms(rank: tuple, down: tuple) -> dict:
-    return _change_basis(_flag_words(max(rank), _flag_counts(rank, down)), -1)
+    return NCPoly._wrap(AB, _change_basis(upsilon(P).terms, -1))
 
 
 def cd_index(P: GradedPoset) -> NCPoly:

@@ -17,11 +17,12 @@ the multiplicative unit.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .errors import AlphabetMismatch, MissingImage, NotExpressible, NotHomogeneous
+from .errors import AlphabetMismatch, MissingImage, NotExpressible, NotHomogeneous, TooLarge
 
 AB = "ab"
 CD = "cd"
@@ -429,13 +430,18 @@ def asym_basis(n: int) -> list[NCPoly]:
 
 
 def to_dict(p: NCPoly) -> dict:
-    return {
-        "alphabet": p.alphabet,
-        "terms": [
-            {"word": w, "num": c.numerator, "den": c.denominator}
-            for w, c in p.sorted_items()
-        ],
-    }
+    """The JSON form of p.  A numerator or denominator of more digits than
+    CPython writes (sys.get_int_max_str_digits(), 0 or absent before 3.10.7
+    for no limit) raises TooLarge here, before a writer starts the output;
+    10**limit has over 3 * limit bits, so most coefficients skip the power."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    terms = []
+    for w, c in p.sorted_items():
+        n = max(abs(c.numerator), c.denominator)
+        if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+            raise TooLarge(f"term {w!r} has a coefficient of more than {limit} digits")
+        terms.append({"word": w, "num": c.numerator, "den": c.denominator})
+    return {"alphabet": p.alphabet, "terms": terms}
 
 
 def from_dict(data: dict) -> NCPoly:

@@ -10,7 +10,8 @@ The ab-side operators that are simpler on flag counts change basis once
 into flags (a -> a + b) and once back (a -> a - b).  So `op Iab` is iota
 (`op iota`) between the two basis changes; the tests keep the per-word ab
 recursion as its oracle.  All three interval transforms (`op iota`, `op Iab`
-and `op Icd`) and the second-kind transform `op IIab` refuse degrees over
+and `op Icd`) and both second-kind transforms (`op IIab` and the
+library's `second_kind_cd_transform`) refuse degrees over
 INTERVAL_MAX_DEGREE; `op M` and `op pyr` refuse result degrees over
 MIXING_MAX_DEGREE.
 """
@@ -282,8 +283,7 @@ def _second_kind_word_cd(word: str) -> NCPoly:
 
 
 def second_kind_cd_transform(p: NCPoly) -> NCPoly:
-    if p.alphabet != CD:
-        raise PosetOpsError("this transform acts on cd-polynomials")
+    _check_interval_input(p, CD)
     return _apply_wordwise(p, _second_kind_word_cd, CD)
 
 

@@ -6,13 +6,15 @@ so comparability tests and interval extraction are cheap afterwards.
 
 One closing routine, `Poset._close`, finishes every poset from the upper
 covers of each element given as indices: topological order, the up/down
-masks, and the refusal of cycles and of covers implied by a longer path;
-for a GradedPoset also the bounded and graded checks and the ranks, in the
-same order.  The label constructor only parses (lo, hi) label pairs into
-index covers.  Duals, direct and diamond products and intervals hand the
-index covers of their input to the routine directly.  A second-kind member
-is no construction of its own: member x is the upper interval
-[[x,x], [0̂,1̂]] of the bottomed interval poset, cut out by
+masks and the refusal of cycles; for a GradedPoset also the bounded and
+graded checks and the ranks, in the same order.  The label constructor,
+the door of the generators, `induced_subposet` and poset files, parses
+(lo, hi) label pairs into index covers and after closing refuses a cover
+implied by a longer path (in a GradedPoset the graded check refuses it
+first).  Duals, products and intervals hand the index covers of a checked
+poset, which imply none of each other, to `Poset._from_covers`.  A
+second-kind member is no construction of its own: member x is the upper
+interval [[x,x], [0̂,1̂]] of the bottomed interval poset, cut out by
 `interval_subposet`.
 
 Derived posets are counted from the masks before they are built (the
@@ -69,19 +71,29 @@ class Poset:
             seen.add((i, j))
             covers_up[i].append(j)
         self._close(labels, index, covers_up)
+        # A cover i < j is implied when another upper cover of i lies below j.
+        for i, js in enumerate(self.covers_up):
+            cover_mask = sum(1 << j for j in js)
+            for j in js:
+                if self.down[j] & cover_mask & ~(1 << j):
+                    raise PosetOpsError(
+                        f"cover ({labels[i]!r}, {labels[j]!r}) is implied "
+                        f"by a longer path and must not be listed"
+                    )
 
     @classmethod
     def _from_covers(cls, labels, covers_up):
         """The poset on `labels` in which i is covered by the distinct indices
-        in covers_up[i], none of them i: the route of every derived poset."""
+        in covers_up[i], none of them i nor implied by others: the route of
+        every derived poset, which keeps the label, cycle and graded checks."""
         P = cls.__new__(cls)
         labels = tuple(labels)
         P._close(labels, _label_index(labels), covers_up)
         return P
 
     def _close(self, labels, index, covers_up):
-        """The one closing routine: order, up/down masks, and the checks for
-        cycles and implied covers.  Returns the topological order."""
+        """The one closing routine: order, up/down masks and the cycle
+        check.  Returns the topological order."""
         n = len(labels)
         covers_down: list[list[int]] = [[] for _ in range(n)]
         for i, js in enumerate(covers_up):
@@ -113,19 +125,6 @@ class Poset:
             for j in covers_down[i]:
                 mask |= down[j]
             down[i] = mask
-
-        # A cover i < j is implied when another upper cover of i lies below j.
-        for i in range(n):
-            cover_mask = 0
-            for j in covers_up[i]:
-                cover_mask |= 1 << j
-            for j in covers_up[i]:
-                if down[j] & cover_mask & ~(1 << j):
-                    raise PosetOpsError(
-                        f"cover ({labels[i]!r}, {labels[j]!r}) is implied "
-                        f"by a longer path and must not be listed"
-                    )
-
         self.labels = labels
         self.index = index
         self.covers_up = tuple(tuple(js) for js in covers_up)

@@ -5,13 +5,14 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from posetops.cli import _split_support, main
-from posetops.errors import PosetOpsError
-from posetops.ncpoly import cd_words
+from posetops.errors import PosetOpsError, TooLarge
+from posetops.ncpoly import AB, NCPoly, cd_words, to_dict
 from posetops.posets import GradedPoset, chain_poset, pell_number, poset_to_dict
 
 
@@ -238,6 +239,26 @@ def test_poset_file_with_an_implied_cover_is_refused(tmp_path, capsys):
     assert "cover ('a', 'c') is implied by a longer path" in err
 
 
+def test_graded_poset_file_with_an_implied_cover_is_refused(tmp_path, capsys):
+    # in a graded poset an implied cover always skips a rank
+    path = tmp_path / "implied.json"
+    path.write_text(
+        json.dumps(
+            {
+                "elements": ["a", "b", "c"],
+                "covers": [["a", "b"], ["b", "c"], ["a", "c"]],
+                "rank": {"a": 0, "b": 1, "c": 2},
+                "bottom": "a",
+                "top": "c",
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, ["poset", "dual", "--in", str(path)])
+    assert_refused(code, out, err)
+    assert "skips a rank" in err
+
+
 @pytest.mark.parametrize(
     "action, kind, n",
     [
@@ -370,8 +391,8 @@ def test_op_mixing_caps_cd_polynomials_like_ab(tmp_path, capsys):
     assert "result degree 14" in err
 
 
-def test_op_mixing_with_a_constant_is_not_capped(tmp_path, capsys):
-    # the pyramid mixes with the unit; a dense degree-12 input passes
+def test_op_pyramid_and_mixing_with_the_unit_admit_result_degree_13(tmp_path, capsys):
+    # the pyramid mixes with the unit; a dense degree-12 input reaches the cap
     words = [""]
     for _ in range(12):
         words = [w + x for w in words for x in "ab"]
@@ -420,6 +441,37 @@ def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command + ["--in", str(deep)])
     assert_refused(code, out, err)
     assert "nests too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"alphabet": "ab", "terms": [{"word": "a", "num": 1%s, "den": 1}]}' % ("0" * 4999),
+         "Exceeds the limit (4300 digits)"),
+        ("\udcff", "can't decode byte 0xff"),
+        ("{", "is not valid JSON"),
+    ],
+)
+def test_unreadable_json_is_refused(tmp_path, capsys, text, reason):
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
+    code, out, err = run_cli(capsys, ["op", "lift", "--in", str(path)])
+    assert_refused(code, out, err)
+    assert reason in err
+
+
+def test_coefficients_too_long_to_write_are_refused_before_output(tmp_path, capsys):
+    p, out_path = tmp_path / "p.json", tmp_path / "out.json"
+    write_poly(p, "ab", [("a", 10**3999 + 7, 1)])
+    for argv in (["--in2", str(p)], ["--in2", str(p), "--out", str(out_path)]):
+        code, out, err = run_cli(capsys, ["op", "M", "--in", str(p)] + argv)
+        assert_refused(code, out, err)
+        assert "has a coefficient of more than 4300 digits" in err
+    assert not out_path.exists()
+    widest = NCPoly(AB, {"a": -(10**4300 - 1), "b": Fraction(1, 10**4300 - 1)})
+    assert to_dict(widest)["terms"][0]["num"] == -(10**4300 - 1)
+    with pytest.raises(TooLarge, match="term 'b'"):
+        to_dict(NCPoly(AB, {"a": 1, "b": Fraction(1, 10**4300)}))
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

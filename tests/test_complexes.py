@@ -40,6 +40,7 @@ from posetops.posets import (
 from posetops.verify import (
     complex_corpus,
     containment_edge_order,
+    corpus,
     order_complex_of_intervals_check,
 )
 
@@ -342,3 +343,37 @@ def test_interval_check_on_small_posets():
     antichain = Poset(["x", "y", "z"], [])
     assert order_complex_of_intervals_check(antichain)
     assert order_complex_of_intervals_check(ladder_poset(1))
+
+
+# -- every complex the package builds passes the door ------------------------------
+# from_facets, link, join, stellar_subdivide and order_complex skip the
+# closure check of SimplicialComplex(faces); the check is the oracle here.
+
+
+def assert_passes_the_door(K):
+    checked = SimplicialComplex(K.faces)
+    assert checked == K and checked.vertices == K.vertices
+
+
+def test_subdivisions_links_and_joins_pass_the_door():
+    named = complex_corpus()
+    for _, K in named:
+        assert_passes_the_door(K)
+        for edge in K.edges():
+            assert_passes_the_door(stellar_subdivide(K, edge))
+        T = tchebyshev_triangulation(K)
+        assert_passes_the_door(T)
+        for L in (K, T):
+            for face in L.faces:
+                assert_passes_the_door(link(L, face))
+    for (_, K), (_, L) in itertools.combinations_with_replacement(named, 2):
+        assert_passes_the_door(join(K, L))
+
+
+def test_order_complexes_pass_the_door():
+    for _, P in corpus(0):
+        if len(P) <= 8:
+            assert_passes_the_door(order_complex(P))
+    for n in range(1, 4):
+        stripped = order_complex(graded_interval_poset(boolean_lattice(n)), strip_extremes=True)
+        assert_passes_the_door(stripped)

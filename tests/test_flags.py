@@ -322,11 +322,11 @@ def test_relabeled_posets_share_one_memo_entry():
     z = [f"z{x}" for x in P.labels]
     Q = GradedPoset(z, [(z[i], z[j]) for i, js in enumerate(P.covers_up) for j in js])
     assert (Q.rank, Q.down) == (P.rank, P.down) and Q.labels != P.labels
-    memos = (flags._flag_work, flags._flag_counts, flags._ab_terms)
+    memos = (flags._flag_work, flags._flag_counts)
     for memo in memos:
         memo.cache_clear()
     assert ab_index(P) == ab_index(Q)
-    assert [memo.cache_info().currsize for memo in memos] == [1, 1, 1]
+    assert [memo.cache_info().currsize for memo in memos] == [1, 1]
 
 
 def test_rank_cap_runs_before_the_memo(monkeypatch):
@@ -335,12 +335,12 @@ def test_rank_cap_runs_before_the_memo(monkeypatch):
     hits = flags._flag_counts.cache_info().hits
     flag_f_vector(P)
     assert flags._flag_counts.cache_info().hits == hits + 1
-    before = flags._flag_counts.cache_info(), flags._ab_terms.cache_info()
+    before = flags._flag_counts.cache_info()
     monkeypatch.setattr(flags, "FLAG_RANK_CAP", 4)
     for index in (flag_f_vector, upsilon, ab_index):
         with pytest.raises(TooLarge, match="rank 5 exceeds"):
             index(P)
-    assert (flags._flag_counts.cache_info(), flags._ab_terms.cache_info()) == before
+    assert flags._flag_counts.cache_info() == before
 
 
 def test_memo_after_the_ii_suite_holds_each_structure_once(monkeypatch):

@@ -343,6 +343,20 @@ def test_cd_interval_transform_refuses_degrees_over_the_cap():
         cd_interval_transform(unit(AB))
 
 
+def test_second_kind_cd_transform_refuses_degrees_over_the_cap():
+    top = monomial(CD, "c" * 12)
+    expected = {
+        w: ladder_second_kind_coefficient(12, [len(run) for run in w.split("d")])
+        for w in cd_words(12)
+    }
+    assert second_kind_cd_transform(top) == cd(expected)
+    for over in (monomial(CD, "c" * 13), monomial(CD, "d" * 6 + "c")):
+        with pytest.raises(TooLarge, match="degree 13 exceeds the cap of 12"):
+            second_kind_cd_transform(over)
+    with pytest.raises(PosetOpsError, match="the transform acts on cd-polynomials"):
+        second_kind_cd_transform(monomial(AB, "ab"))
+
+
 def test_cd_interval_transform_small_words():
     assert cd_interval_transform(unit(CD)) == cd({"c": 1})
     assert cd_interval_transform(monomial(CD, "c")) == cd({"cc": 1, "d": 2})
