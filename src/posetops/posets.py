@@ -83,9 +83,9 @@ class Poset:
 
     @classmethod
     def _from_covers(cls, labels, covers_up):
-        """The poset on `labels` in which i is covered by the distinct indices
-        in covers_up[i], none of them i nor implied by others: the route of
-        every derived poset, which keeps the label, cycle and graded checks."""
+        """The poset on `labels` whose element i is covered by the distinct,
+        unimplied indices in covers_up[i]: the route of every derived poset.
+        Repeated labels, cycles and unbounded or ungraded orders still fail."""
         P = cls.__new__(cls)
         labels = tuple(labels)
         P._close(labels, _label_index(labels), covers_up)

@@ -260,7 +260,8 @@ def _functions_saying(sources: dict, fragment: str) -> list:
                     isinstance(c, ast.Constant) and fragment in str(c.value)
                     for c in ast.walk(f)
                 ):
-                    found.append(".".join([module] + [node.name] * (f is not node) + [f.name]))
+                    name = f.name if f is node else f"{node.name}.{f.name}"
+                    found.append(f"{module}.{name}")
     return found
 
 
