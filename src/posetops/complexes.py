@@ -57,7 +57,7 @@ def _chebyshev(n: int, first: int) -> NCPoly:
 
 def cheb_transform_T(p: NCPoly) -> NCPoly:
     """Image of an x-polynomial under x^n ↦ T_n(x)."""
-    return _apply_wordwise(p, lambda w: chebyshev_T(len(w)), X)
+    return _apply_wordwise(p, lambda w: chebyshev_T(len(w)).terms, X)
 
 
 def vertex_link_transform(p: NCPoly) -> NCPoly:
@@ -68,8 +68,8 @@ def vertex_link_transform(p: NCPoly) -> NCPoly:
     of p does not contribute.
     """
     return _apply_wordwise(
-        p, lambda w: 2 * chebyshev_U(len(w) - 1) if w else NCPoly(X), X
-    )
+        p, lambda w: chebyshev_U(len(w) - 1).terms if w else {}, X
+    ).scaled(2)
 
 
 def univariate_to_dict(p: NCPoly) -> dict:

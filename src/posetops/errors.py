@@ -54,10 +54,6 @@ class AlphabetMismatch(PosetOpsError):
     """Polynomials over different alphabets cannot be combined."""
 
 
-class MissingImage(PosetOpsError):
-    """A substitution lacks an image for some letter of the alphabet."""
-
-
 class NotExpressible(PosetOpsError):
     """The polynomial lies outside the span of the requested basis."""
 

@@ -6,13 +6,18 @@ Words are plain strings.  A coefficient is an int while it is integral and
 a fractions.Fraction otherwise: the constructors bring outside input to
 that form (a Fraction with denominator 1 becomes an int), and arithmetic
 keeps the types it is given.  So flag counts and ab/cd indices stay in int
-arithmetic, and fractions enter only through the ½ of the ce basis and
-the (x − 1)/2 of face polynomials.  A
-Fraction that turns integral under arithmetic stays a Fraction; it
-compares and hashes equal to the int and serializes the same way.  No floating point enters any computation.  In the cd alphabet
-the letter d carries degree 2 (so the expansions c -> a+b, d -> ab+ba
-preserve degree); every other letter carries degree 1.  The empty word is
-the multiplicative unit.
+arithmetic, and fractions enter only through the ½ of the ce basis and the
+(x − 1)/2 of face polynomials.  A Fraction that turns integral under
+arithmetic stays a Fraction; it compares and hashes equal to the int and
+serializes the same way.  No floating point enters any computation.
+
+In the cd alphabet the letter d carries degree 2 (so the expansions
+c -> a+b, d -> ab+ba preserve degree); every other letter carries degree 1.
+The empty word is the multiplicative unit.
+
+The word-level maps work on term dicts (word -> coefficient), not on
+NCPoly temporaries: a product with a fixed word adds a prefix or suffix to
+each key, and every sum goes through `_accumulate`.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import lcm
 
-from .errors import AlphabetMismatch, MissingImage, NotExpressible, NotHomogeneous, TooLarge
+from .errors import AlphabetMismatch, NotExpressible, NotHomogeneous, TooLarge
 
 AB = "ab"
 CD = "cd"
@@ -200,46 +206,18 @@ def monomial(alphabet: str, word: str, coeff=1) -> NCPoly:
     return NCPoly(alphabet, {word: coeff})
 
 
+# -- word-wise maps -----------------------------------------------------------
+
+
 def _apply_wordwise(p: NCPoly, image, alphabet: str) -> NCPoly:
-    """The linear map sending each word w of p to the polynomial image(w)
+    """The linear map sending each word w of p to the term dict image(w)
     over `alphabet`, summed into one accumulator."""
     return NCPoly._wrap(
         alphabet,
         _accumulate(
-            {},
-            (
-                (x, c * k)
-                for w, c in p.terms.items()
-                for x, k in image(w).terms.items()
-            ),
+            {}, ((x, c * k) for w, c in p.terms.items() for x, k in image(w).items())
         ),
     )
-
-
-# -- substitution ------------------------------------------------------------
-
-
-def substitute(p: NCPoly, images: dict[str, NCPoly]) -> NCPoly:
-    """The algebra homomorphism sending each letter to its image.
-
-    Every letter of p's alphabet needs an image, and all images must share
-    one alphabet (which becomes the result's alphabet).
-    """
-    for letter in sorted(_LETTERS[p.alphabet]):
-        if letter not in images:
-            raise MissingImage(f"no image for letter {letter!r}")
-    target = {img.alphabet for img in images.values()}
-    if len(target) != 1:
-        raise AlphabetMismatch("images use more than one alphabet")
-    target_alphabet = target.pop()
-
-    def image(word: str) -> NCPoly:
-        piece = NCPoly._wrap(target_alphabet, {"": 1})
-        for letter in word:
-            piece = piece * images[letter]
-        return piece
-
-    return _apply_wordwise(p, image, target_alphabet)
 
 
 def _change_basis(terms: dict, sign: int) -> dict:
@@ -317,27 +295,30 @@ def matrix_rank(columns: list[dict]) -> int:
 
 # -- cd and ce rewriting -----------------------------------------------------
 
-_PSI_IMAGES = {
-    "c": NCPoly(AB, {"a": 1, "b": 1}),
-    "d": NCPoly(AB, {"ab": 1, "ba": 1}),
-}
+_PSI = {"c": ("a", "b"), "d": ("ab", "ba")}
 
 
 def expand_cd_word(word: str) -> NCPoly:
     """Expansion of one cd-word into the ab alphabet."""
-    return NCPoly._wrap(AB, dict(_expand_cd_word(word).terms))
+    return NCPoly._wrap(AB, dict(_expand_cd_word(word)))
 
 
 @cache
-def _expand_cd_word(word: str) -> NCPoly:
-    return substitute(NCPoly(CD, {word: 1}), _PSI_IMAGES)
+def _expand_cd_word(word: str) -> dict:
+    """The ab-words of c -> a+b, d -> ab+ba, letter by letter.  The words
+    of one step share a length, so no two keys meet.  The memo hands its
+    dicts to every caller, and none of them writes to one."""
+    terms = {"": 1}
+    for letter in word:
+        terms = {w + x: 1 for w in terms for x in _PSI[letter]}
+    return terms
 
 
 def expand_cd(p: NCPoly) -> NCPoly:
     """Expansion of a cd-polynomial into the ab alphabet."""
     if p.alphabet != CD:
         raise AlphabetMismatch("expand_cd expects a cd-polynomial")
-    return _apply_wordwise(p, expand_cd_word, AB)
+    return _apply_wordwise(p, _expand_cd_word, AB)
 
 
 def rewrite_ab_to_cd(p: NCPoly) -> NCPoly:
@@ -378,14 +359,26 @@ def rewrite_ab_to_cd(p: NCPoly) -> NCPoly:
     return NCPoly._wrap(CD, out)
 
 
-_D_AS_CE = NCPoly(CE, {"cc": Fraction(1, 2), "ee": Fraction(-1, 2)})
+def _ce_image(word: str) -> dict:
+    """A cd-word with k d's under d -> ½cc − ½ee: 2^k ce-words, each with
+    coefficient ±1/2^k, negative for an odd number of ee's.  A d-free word
+    keeps the int coefficient 1."""
+    first, *rest = word.split("d")
+    if not rest:
+        return {word: 1}
+    signed = (Fraction(1, 2 ** len(rest)), Fraction(-1, 2 ** len(rest)))
+    out = {}
+    for pairs in product(("cc", "ee"), repeat=len(rest)):
+        ce = first + "".join(pair + piece for pair, piece in zip(pairs, rest))
+        out[ce] = signed[pairs.count("ee") % 2]
+    return out
 
 
 def cd_ce_convert(p: NCPoly) -> NCPoly:
     """Rewrite a cd-polynomial in the ce alphabet using e² = c² − 2d."""
     if p.alphabet != CD:
         raise AlphabetMismatch("conversion to ce expects a cd-polynomial")
-    return substitute(p, {"c": monomial(CE, "c"), "d": _D_AS_CE})
+    return _apply_wordwise(p, _ce_image, CE)
 
 
 # -- coproducts ---------------------------------------------------------------

@@ -4,7 +4,11 @@ operator, the pyramid and lift maps, and the Delannoy path model.
 Most operators are defined on monomial words by a recursion and extended
 linearly.  Word-level results are memoized with functools.cache on private
 helpers, because the recursions revisit the same words constantly; the
-public functions check their input and stay plain functions.
+public functions check their input and stay plain functions.  Every memo
+holds a term dict (word -> coefficient), never an NCPoly, and hands that
+same dict to every caller, so no caller writes to one.  A product with a
+fixed word adds a prefix or suffix to each key (`_framed`), and every sum
+goes through `ncpoly._accumulate`.
 
 The ab-side operators that are simpler on flag counts change basis once
 into flags (a -> a + b) and once back (a -> a - b).  So `op Iab` is iota
@@ -36,9 +40,7 @@ from .ncpoly import (
     unit,
 )
 
-_A_PLUS_2B = NCPoly(AB, {"a": 1, "b": 2})
 _A_MINUS_B = NCPoly(AB, {"a": 1, "b": -1})
-_DC_PLUS_CD = NCPoly(CD, {"dc": 1, "cd": 1})
 
 
 def _ab_coproduct_word(word: str):
@@ -46,33 +48,38 @@ def _ab_coproduct_word(word: str):
     return _accumulate({}, (((word[:i], word[i + 1 :]), 1) for i in range(len(word))))
 
 
+def _framed(terms: dict, suffix: str, scale=1, prefix: str = ""):
+    """prefix·terms·suffix times scale, as (word, coefficient) pairs: a
+    product with fixed words adds them to each key."""
+    return ((prefix + w + suffix, scale * k) for w, k in terms.items())
+
+
 # -- the vertex-wise interval transform on flag words ---------------------------
 
 @cache
-def _iota_word(word: str) -> NCPoly:
+def _iota_word(word: str) -> dict:
     """Raise a flag word of degree m to one of degree m+1 by the recursion
     that peels the outermost pair of b letters."""
     if "b" not in word:
-        return _A_PLUS_2B * monomial(AB, word)
-    first = word.index("b")
-    last = word.rindex("b")
-    i = first
-    j = len(word) - 1 - last
-    if first == last:
-        symmetric = monomial(AB, word) + monomial(AB, "a" * j + "b" + "a" * i)
-        return _A_PLUS_2B * symmetric + monomial(AB, "b" + "a" * (i + j + 1))
+        return {"a" + word: 1, "b" + word: 2}  # (a + 2b)·word
+    first, last = word.index("b"), word.rindex("b")
+    i, j = first, len(word) - 1 - last
+    if first == last:  # (a + 2b)·(a^i b a^j + a^j b a^i) + b a^(i+j+1)
+        both = _accumulate({word: 1}, ((word[::-1], 1),))
+        out = _accumulate({"b" + "a" * (i + j + 1): 1}, _framed(both, "", prefix="a"))
+        return _accumulate(out, _framed(both, "", 2, prefix="b"))
+    out: dict = {}
     middle = word[first + 1 : last]
-    return (
-        _iota_word(word[: last]) * monomial(AB, "b" + "a" * j)
-        + _iota_word(word[first + 1 :]) * monomial(AB, "b" + "a" * i)
-        + _iota_word(middle) * monomial(AB, "b" + "a" * (i + j + 1))
-    )
+    for inner, k in ((word[:last], j), (word[first + 1 :], i), (middle, i + j + 1)):
+        _accumulate(out, _framed(_iota_word(inner), "b" + "a" * k))
+    return out
 
 
 # A dense ab-input of degree 12 takes about 3 s and 200 MB, and each degree
-# more 3x that; a dense cd-input of degree 12 takes 0.2 s and 25 MB, and each
-# two degrees more about 7x that.  The second-kind transform of a dense
-# ab-input takes 3-4.7 s and 297 MB at degree 12, and 12 s and 0.9 GB at 13.
+# more 3x that; a dense cd-input of degree 12 takes 0.08-0.14 s and 25 MB, and
+# one of degree 14 0.6 s and 81 MB (CPython 3.11, one x86-64 core).  The
+# second-kind transform of a dense ab-input takes 3-4.7 s and 297 MB at
+# degree 12, and 12 s and 0.9 GB at 13; of a dense cd-input, 0.3 s at 12.
 INTERVAL_MAX_DEGREE = 12
 
 
@@ -125,9 +132,10 @@ def _mix_ab_pairs(pairs: dict) -> NCPoly:
 
 # Dense ab-inputs of result degree 13 take 1.3-2.3 s and 196 MB (degrees 6
 # and 6), and at 14 take 5-7 s and 576 MB (7 and 6).  Dense cd-inputs take
-# about 0.3 s at degrees 6 and 6, 1.2-1.9 s and 68 MB at 7 and 7, and 11 s and
-# 371 MB at 8 and 8.  A constant argument, as in the pyramid, is capped alike:
-# uncapped, the pyramid of a^20 ran past 40 s and 3.7 GB.
+# 0.05-0.1 s and 23 MB at degrees 6 and 6, 0.4-0.5 s and 69 MB at 7 and 7, and
+# 3.3 s and 371 MB at 8 and 8 (CPython 3.11, one x86-64 core).  A constant
+# argument, as in the pyramid, is capped alike: uncapped, the pyramid of a^20
+# ran past 40 s and 3.7 GB.
 MIXING_MAX_DEGREE = 13
 
 
@@ -157,42 +165,35 @@ def mixing_ab(p: NCPoly, q: NCPoly) -> NCPoly:
 
 
 @cache
-def _mixing_cd_words(u: str, v: str) -> NCPoly:
+def _mixing_cd_words(u: str, v: str) -> dict:
     if not v:
-        if not u:
-            return monomial(CD, "c")
-        return _mixing_cd_words(v, u)
+        return _mixing_cd_words(v, u) if u else {"c": 1}
     head, last = v[:-1], v[-1]
-    head_poly = monomial(CD, head)
-    d = monomial(CD, "d")
+    coproduct = _cd_coproduct_word(u).items()
     if last == "c":
-        result = (
-            head_poly * d * monomial(CD, u)
-            + _mixing_cd_words(u, head) * monomial(CD, "c")
-        )
-        for (u1, u2), coeff in _cd_coproduct_word(u).items():
-            result = result + (
-                _mixing_cd_words(u1, head) * d * monomial(CD, u2)
-            ).scaled(coeff)
-    else:
-        result = (
-            head_poly * d * _mixing_cd_words("", u)
-            + _mixing_cd_words(u, head) * d
-        )
-        for (u1, u2), coeff in _cd_coproduct_word(u).items():
-            result = result + (
-                _mixing_cd_words(u1, head) * d * _mixing_cd_words("", u2)
-            ).scaled(coeff)
-    return result
+        out = _accumulate({head + "d" + u: 1}, _framed(_mixing_cd_words(u, head), "c"))
+        for (u1, u2), coeff in coproduct:
+            _accumulate(out, _framed(_mixing_cd_words(u1, head), "d" + u2, coeff))
+        return out
+    out = _accumulate(
+        dict(_framed(_mixing_cd_words(u, head), "d")),
+        _framed(_mixing_cd_words("", u), "", prefix=head + "d"),
+    )
+    for (u1, u2), coeff in coproduct:
+        for x, k in _mixing_cd_words("", u2).items():
+            _accumulate(out, _framed(_mixing_cd_words(u1, head), "d" + x, coeff * k))
+    return out
 
 
 def mixing_cd(p: NCPoly, q: NCPoly) -> NCPoly:
     if p.alphabet != CD or q.alphabet != CD:
         raise PosetOpsError("this mixing form acts on cd-polynomials")
     _check_mixing_degrees(p, q)
-    return _apply_wordwise(
-        p, lambda u: _apply_wordwise(q, lambda v: _mixing_cd_words(u, v), CD), CD
-    )
+    out: dict = {}
+    for u, cu in p.terms.items():
+        for v, cv in q.terms.items():
+            _accumulate(out, _framed(_mixing_cd_words(u, v), "", cu * cv))
+    return NCPoly._wrap(CD, out)
 
 
 def pyramid(p: NCPoly) -> NCPoly:
@@ -221,30 +222,26 @@ def ab_interval_transform(p: NCPoly) -> NCPoly:
 
 
 @cache
-def _cd_interval_word(word: str) -> NCPoly:
+def _cd_interval_word(word: str) -> dict:
     if not word:
-        return monomial(CD, "c")
+        return {"c": 1}
     u, last = word[:-1], word[-1]
-    u_star = monomial(CD, u[::-1])
-    d = monomial(CD, "d")
+    u_star = u[::-1]
+    coproduct = _cd_coproduct_word(u).items()
     if last == "c":
-        result = _cd_interval_word(u) * monomial(CD, "c") + 2 * d * u_star
-        for (u1, u2), coeff in _cd_coproduct_word(u).items():
-            piece = _cd_interval_word(u2) * d * monomial(CD, u1[::-1])
-            result = result + piece.scaled(coeff)
-        return result
-    result = (
-        _cd_interval_word(u) * d
-        + _DC_PLUS_CD * u_star
-        + d * u_star * monomial(CD, "c")
+        out = _accumulate({"d" + u_star: 2}, _framed(_cd_interval_word(u), "c"))
+        for (u1, u2), coeff in coproduct:
+            _accumulate(out, _framed(_cd_interval_word(u2), "d" + u1[::-1], coeff))
+        return out
+    out = _accumulate(
+        dict(_framed(_cd_interval_word(u), "d")),
+        (("dc" + u_star, 1), ("cd" + u_star, 1), ("d" + u_star + "c", 1)),
     )
-    for (u1, u2), coeff in _cd_coproduct_word(u).items():
-        u1_star = monomial(CD, u1[::-1])
-        u2_star = monomial(CD, u2[::-1])
-        piece = _cd_interval_word(u2) * d * mixing_cd(unit(CD), u1_star)
-        piece = piece + d * u2_star * d * u1_star
-        result = result + piece.scaled(coeff)
-    return result
+    for (u1, u2), coeff in coproduct:
+        _accumulate(out, (("d" + u2[::-1] + "d" + u1[::-1], coeff),))
+        for x, k in _mixing_cd_words("", u1[::-1]).items():  # the pyramid of u1*
+            _accumulate(out, _framed(_cd_interval_word(u2), "d" + x, coeff * k))
+    return out
 
 
 def cd_interval_transform(p: NCPoly) -> NCPoly:
@@ -274,12 +271,11 @@ def second_kind_ab_transform(p: NCPoly) -> NCPoly:
     return p + p.star() + _mix_ab_pairs(pairs)
 
 
-def _second_kind_word_cd(word: str) -> NCPoly:
-    result = monomial(CD, word) + monomial(CD, word[::-1])
+def _second_kind_word_cd(word: str) -> dict:
+    out = _accumulate({word: 1}, ((word[::-1], 1),))
     for (u1, u2), coeff in _cd_coproduct_word(word).items():
-        piece = mixing_cd(monomial(CD, u1[::-1]), monomial(CD, u2))
-        result = result + piece.scaled(coeff)
-    return result
+        _accumulate(out, _framed(_mixing_cd_words(u1[::-1], u2), "", coeff))
+    return out
 
 
 def second_kind_cd_transform(p: NCPoly) -> NCPoly:
@@ -289,12 +285,10 @@ def second_kind_cd_transform(p: NCPoly) -> NCPoly:
 
 # -- Delannoy path model ---------------------------------------------------------
 
-_C = NCPoly(CD, {"c": 1})
-_TWO_D_MINUS_CC = NCPoly(CD, {"d": 2, "cc": -1})
-
-# The lattice-point recursion makes (i+2)(j+2) polynomial products, and the
-# polynomials grow like Fibonacci(i + j): i + j = 20 takes a fraction of a
-# second, every further step about 1.6 times as long.
+# The lattice-point recursion makes a few passes over term dicts at each of
+# (i+2)(j+2) points, and the dicts grow like Fibonacci(i + j): i + j = 20
+# takes about 0.1 s and 25 MB (CPython 3.11, one x86-64 core), every further
+# step about 1.6 times as long.
 DELANNOY_MAX_STEPS = 20
 
 
@@ -312,19 +306,22 @@ def delannoy_mixing(i: int, j: int) -> NCPoly:
         raise InvalidSize("path endpoints need i, j >= 0")
     if i + j > DELANNOY_MAX_STEPS:
         raise TooLarge(f"path endpoints need i + j <= {DELANNOY_MAX_STEPS}")
-    west = [NCPoly(CD)] * (j + 2)  # W(x - 1, y) at index y + 1
+    west = [{}] * (j + 2)  # W(x - 1, y) at index y + 1
     for x in range(-1, i + 1):
         here = []  # W(x, y) at index y + 1
         for y in range(-1, j + 1):
             if y < 0:
-                total = west[y + 1] * _C
+                total = dict(_framed(west[y + 1], "c"))
             else:
-                total = (west[y + 1] + here[y]) * _C + west[y] * _TWO_D_MINUS_CC
+                east = _accumulate(dict(west[y + 1]), here[y].items())
+                total = dict(_framed(east, "c"))
+                _accumulate(total, _framed(west[y], "d", 2))
+                _accumulate(total, _framed(west[y], "cc", -1))
             if (x, y) in ((-1, 0), (0, -1)):
-                total = total + unit(CD)
+                _accumulate(total, (("", 1),))
             here.append(total)
         west = here
-    return west[j + 1].scaled(Fraction(1, 2))
+    return NCPoly._wrap(CD, west[j + 1]).scaled(Fraction(1, 2))
 
 
 def delannoy_ce_coefficient(i: int, j: int, r: int):

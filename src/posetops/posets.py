@@ -600,6 +600,10 @@ def poset_from_dict(data: dict) -> Poset:
     for label in elements:
         if not isinstance(label, str):
             raise PosetOpsError(f"element label {label!r} is not a string")
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError as error:  # a lone surrogate
+            raise PosetOpsError(f"element label {label!r} is not UTF-8 text") from error
     covers = data["covers"]
     if not isinstance(covers, list):
         raise PosetOpsError(f"covers must be a list, not {type(covers).__name__}")

@@ -42,6 +42,7 @@ from .ncpoly import (
     cd_ce_convert,
     cd_words,
     expand_cd,
+    expand_cd_word,
     monomial,
     to_dict as poly_to_dict,
     unit,
@@ -259,7 +260,7 @@ def interval_cd_cases(seed: int = 0) -> list:
             cases.append(
                 case(
                     f"cd interval transform of {shown} expands to the ab one",
-                    ab_interval_transform(expand_cd(monomial(CD, word))),
+                    ab_interval_transform(expand_cd_word(word)),
                     expand_cd(cd_interval_transform(monomial(CD, word))),
                 )
             )
@@ -313,7 +314,7 @@ def mixing_word_cases() -> list:
         cases.append(
             case(
                 f"mixing of ({su}, {sv}): cd recursion expands to the definition",
-                mixing_ab(expand_cd(monomial(CD, u)), expand_cd(monomial(CD, v))),
+                mixing_ab(expand_cd_word(u), expand_cd_word(v)),
                 expand_cd(mixing_cd(monomial(CD, u), monomial(CD, v))),
             )
         )

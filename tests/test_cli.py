@@ -259,6 +259,23 @@ def test_graded_poset_file_with_an_implied_cover_is_refused(tmp_path, capsys):
     assert "skips a rank" in err
 
 
+def test_labels_that_utf8_cannot_write_are_refused_before_output(tmp_path, capsys):
+    # json.load turns the escape "\ud800" into a lone surrogate, which the
+    # UTF-8 writer cannot encode; it once failed after the first bytes
+    path, out_path = tmp_path / "surrogate.json", tmp_path / "out.json"
+    poset = {"elements": ["\ud800", "b"], "covers": [["\ud800", "b"]], "rank": None}
+    path.write_text(json.dumps(poset), encoding="utf-8")
+    for argv in ([], ["--out", str(out_path)]):
+        code, out, err = run_cli(capsys, ["poset", "dual", "--in", str(path)] + argv)
+        assert_refused(code, out, err)
+        assert "is not UTF-8 text" in err
+    assert not out_path.exists()
+    poset = {"elements": ["\u00e9", "b"], "covers": [["\u00e9", "b"]], "rank": None}
+    path.write_text(json.dumps(poset), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["poset", "dual", "--in", str(path)])
+    assert code == 0 and err == "" and json.loads(out)["covers"] == [["b", "\u00e9"]]
+
+
 @pytest.mark.parametrize(
     "action, kind, n",
     [

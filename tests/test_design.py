@@ -2,7 +2,9 @@
 
 Every memo is functools.cache on a private helper: a module-level dict,
 list or set that code writes to, or a `global` statement, would be a
-second memo idiom.  Every public module-level callable of a layer module
+second memo idiom.  The memos of the word layers (ncpoly, operators and
+flags) hold plain values, term dicts among them, and declare so in their
+return annotation; none holds an NCPoly.  Every public module-level callable of a layer module
 is a plain function, so a tracer that rebinds the public names from
 outside (as perfbench/layers.py does, wrapping only FunctionType) still
 sees each call.  Every module-level function and class of the library
@@ -28,6 +30,7 @@ from posetops.verify import SUITES, corpus
 
 LAYERS = ("posets", "flags", "ncpoly", "operators", "complexes", "verify", "cli")
 LIBRARY = ("posets", "flags", "ncpoly", "operators", "complexes")
+WORD_LAYERS = ("ncpoly", "operators", "flags")
 # The paper's type B theorem, still to be made executable (see ROADMAP.md),
 # is a statement about a suspension.
 UNUSED_ALLOWED = {"complexes.suspension"}
@@ -114,6 +117,49 @@ def test_the_memo_check_sees_the_old_idioms():
     for source in (table, listed, declared):
         assert _memo_writes(source) != [], source
     assert _memo_writes('_FIXED = {"a": 1}\n\ndef f():\n    return _FIXED["a"]\n') == []
+
+
+def _is_memo(decorator) -> bool:
+    """functools.cache or lru_cache, bare, dotted or called."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = getattr(decorator, "id", getattr(decorator, "attr", None))
+    return name in ("cache", "lru_cache")
+
+
+def _memos_of_polynomials(sources: dict) -> list:
+    """The memoized functions of the WORD_LAYERS among `sources` whose
+    return annotation is missing or names NCPoly."""
+    return [
+        f"{module}.{node.name}"
+        for module, text in sources.items()
+        if module in WORD_LAYERS
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef)
+        and any(map(_is_memo, node.decorator_list))
+        and (node.returns is None or "NCPoly" in ast.unparse(node.returns))
+    ]
+
+
+def test_word_layer_memos_hold_no_polynomials():
+    assert _memos_of_polynomials(_package_sources()) == []
+
+
+def test_the_polynomial_memo_check_sees_a_planted_one():
+    planted = (
+        "from functools import cache\n\n\n"
+        "@cache\ndef _word(w: str) -> NCPoly:\n    return monomial(AB, w)\n\n\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def _quoted(w: str) -> 'NCPoly':\n    return monomial(AB, w)\n\n\n"
+        "@cache\ndef _bare(w):\n    return {w: 1}\n\n\n"
+        "@cache\ndef _terms(w: str) -> dict:\n    return {w: 1}\n\n\n"
+        "def _unmemoized(w: str) -> NCPoly:\n    return monomial(AB, w)\n"
+    )
+    assert _memos_of_polynomials({"operators": planted, "complexes": planted}) == [
+        "operators._word",
+        "operators._quoted",
+        "operators._bare",
+    ]
 
 
 @pytest.mark.parametrize("layer", LAYERS)

@@ -30,7 +30,6 @@ from posetops.ncpoly import (
     ab_words,
     cd_words,
     matrix_rank,
-    substitute,
 )
 from posetops.posets import (
     GradedPoset,
@@ -45,6 +44,7 @@ from posetops.posets import (
     ladder_poset,
 )
 from posetops.verify import SUITES, corpus
+from test_ncpoly import substitute
 
 
 def test_flag_vector_of_boolean_square():

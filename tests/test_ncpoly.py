@@ -6,7 +6,6 @@ import pytest
 from posetops import ncpoly
 from posetops.errors import (
     AlphabetMismatch,
-    MissingImage,
     NotExpressible,
     NotHomogeneous,
 )
@@ -69,31 +68,69 @@ def test_reverse_star_is_involutive_antiautomorphism():
             assert p.star().star() == p
 
 
+def substitute(p, images):
+    """The algebra homomorphism sending each letter of p to its image, one
+    NCPoly product per letter: the slow route that the library's word maps
+    (expand_cd, cd_ce_convert) replace."""
+    target = next(iter(images.values())).alphabet
+    total = P(target, {})
+    for word, coeff in p.terms.items():
+        piece = ncpoly.unit(target)
+        for letter in word:
+            piece = piece * images[letter]
+        total = total + piece.scaled(coeff)
+    return total
+
+
+PSI_IMAGES = {"c": P(AB, {"a": 1, "b": 1}), "d": P(AB, {"ab": 1, "ba": 1})}
+CE_IMAGES = {
+    "c": P(CE, {"c": 1}),
+    "d": P(CE, {"cc": Fraction(1, 2), "ee": Fraction(-1, 2)}),
+}
+
+
 def test_substitute_a_minus_b():
     upsilon = P(AB, {"a": 1, "b": 2})
     images = {"a": P(AB, {"a": 1, "b": -1}), "b": P(AB, {"b": 1})}
-    assert ncpoly.substitute(upsilon, images) == P(AB, {"a": 1, "b": 1})
+    assert substitute(upsilon, images) == P(AB, {"a": 1, "b": 1})
 
 
 def test_substitute_cd_expansion():
     p = P(CD, {"cc": 1, "d": 1})
-    images = {"c": P(AB, {"a": 1, "b": 1}), "d": P(AB, {"ab": 1, "ba": 1})}
-    assert ncpoly.substitute(p, images) == P(
-        AB, {"aa": 1, "ab": 2, "ba": 2, "bb": 1}
-    )
+    assert substitute(p, PSI_IMAGES) == P(AB, {"aa": 1, "ab": 2, "ba": 2, "bb": 1})
 
 
 def test_substitute_e_squared():
     p = P(CE, {"ee": 1})
     images = {"c": P(AB, {"a": 1, "b": 1}), "e": P(AB, {"a": 1, "b": -1})}
-    assert ncpoly.substitute(p, images) == P(
+    assert substitute(p, images) == P(
         AB, {"aa": 1, "ab": -1, "ba": -1, "bb": 1}
     )
 
 
-def test_substitute_missing_image():
-    with pytest.raises(MissingImage):
-        ncpoly.substitute(P(AB, {"a": 1}), {"a": P(AB, {"a": 1})})
+def test_expand_cd_word_matches_substitution_on_every_word():
+    for n in range(11):
+        for w in ncpoly.cd_words(n):
+            assert ncpoly.expand_cd_word(w) == substitute(P(CD, {w: 1}), PSI_IMAGES), w
+
+
+def _dense_cd(rng, n, den):
+    return P(CD, {w: Fraction(rng.randint(-9, 9) or 1, den) for w in ncpoly.cd_words(n)})
+
+
+def test_cd_ce_convert_matches_substitution_on_dense_polys():
+    rng = random.Random(2008)
+    for n, den in ((6, 1), (8, 3), (9, 1), (10, 2), (10, 1)):
+        p = _dense_cd(rng, n, den)
+        assert ncpoly.cd_ce_convert(p) == substitute(p, CE_IMAGES), n
+        assert ncpoly.expand_cd(p) == substitute(p, PSI_IMAGES), n
+    for w in ncpoly.cd_words(7):
+        assert ncpoly.cd_ce_convert(P(CD, {w: 1})) == substitute(P(CD, {w: 1}), CE_IMAGES)
+    # a d-free word keeps an int coefficient; a d brings in the halves
+    assert type(ncpoly.cd_ce_convert(P(CD, {"cc": 3})).coefficient("cc")) is int
+    assert ncpoly.cd_ce_convert(P(CD, {"dcd": 8})).terms == {
+        "ccccc": 2, "cccee": -2, "eecee": 2, "eeccc": -2
+    }
 
 
 def test_rewrite_c_is_a_plus_b():

@@ -1,9 +1,11 @@
+import copy
 import random
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
+from posetops import ncpoly, operators
 from posetops.errors import DegreeMismatch, InvalidSize, PosetOpsError, TooLarge
 from posetops.flags import ab_index, cd_index, upsilon
 from posetops.ncpoly import (
@@ -15,12 +17,12 @@ from posetops.ncpoly import (
     cd_words,
     expand_cd,
     monomial,
-    substitute,
     unit,
 )
 from posetops.operators import (
     INTERVAL_MAX_DEGREE,
     _ab_coproduct_word,
+    _cd_coproduct_word,
     _mixing_cd_words,
     _quasi_shuffle,
     ab_interval_transform,
@@ -48,6 +50,7 @@ from posetops.posets import (
     ladder_poset,
     second_kind_transform,
 )
+from test_ncpoly import substitute
 
 
 def ab(terms):
@@ -480,7 +483,7 @@ def test_delannoy_rejects_negative():
 def test_delannoy_caps_the_path_length():
     # mixing_cd refuses result degree 21, so the longest path meets the word
     # recursion behind it
-    assert delannoy_mixing(20, 0) == _mixing_cd_words("c" * 20, "")
+    assert delannoy_mixing(20, 0) == cd(_mixing_cd_words("c" * 20, ""))
     with pytest.raises(TooLarge):
         mixing_cd(monomial(CD, "c" * 20), unit(CD))
     with pytest.raises(TooLarge):
@@ -814,3 +817,184 @@ def test_ab_interval_transform_matches_the_ab_recursion_on_dense_polys():
         assert len(p.terms) == 2**n
         assert (den > 1) == any(c.denominator > 1 for c in p.terms.values())
         assert ab_interval_transform(p) == ab_interval_by_words(p), n
+
+
+# -- the NCPoly-product recursions that the term-dict ones replaced ------------------
+
+_A_PLUS_2B = ab({"a": 1, "b": 2})
+_D = monomial(CD, "d")
+
+
+@cache
+def iota_by_products(word):
+    if "b" not in word:
+        return _A_PLUS_2B * monomial(AB, word)
+    first, last = word.index("b"), word.rindex("b")
+    i, j = first, len(word) - 1 - last
+    if first == last:
+        symmetric = monomial(AB, word) + monomial(AB, "a" * j + "b" + "a" * i)
+        return _A_PLUS_2B * symmetric + monomial(AB, "b" + "a" * (i + j + 1))
+    return (
+        iota_by_products(word[:last]) * monomial(AB, "b" + "a" * j)
+        + iota_by_products(word[first + 1 :]) * monomial(AB, "b" + "a" * i)
+        + iota_by_products(word[first + 1 : last]) * monomial(AB, "b" + "a" * (i + j + 1))
+    )
+
+
+@cache
+def mixing_cd_by_products(u, v):
+    if not v:
+        return monomial(CD, "c") if not u else mixing_cd_by_products(v, u)
+    head, last = v[:-1], v[-1]
+    if last == "c":
+        result = (
+            monomial(CD, head) * _D * monomial(CD, u)
+            + mixing_cd_by_products(u, head) * monomial(CD, "c")
+        )
+        for (u1, u2), coeff in _cd_coproduct_word(u).items():
+            piece = mixing_cd_by_products(u1, head) * _D * monomial(CD, u2)
+            result = result + piece.scaled(coeff)
+        return result
+    result = (
+        monomial(CD, head) * _D * mixing_cd_by_products("", u)
+        + mixing_cd_by_products(u, head) * _D
+    )
+    for (u1, u2), coeff in _cd_coproduct_word(u).items():
+        piece = mixing_cd_by_products(u1, head) * _D * mixing_cd_by_products("", u2)
+        result = result + piece.scaled(coeff)
+    return result
+
+
+@cache
+def cd_interval_by_products(word):
+    if not word:
+        return monomial(CD, "c")
+    u, last = word[:-1], word[-1]
+    u_star = monomial(CD, u[::-1])
+    if last == "c":
+        result = cd_interval_by_products(u) * monomial(CD, "c") + 2 * _D * u_star
+        for (u1, u2), coeff in _cd_coproduct_word(u).items():
+            piece = cd_interval_by_products(u2) * _D * monomial(CD, u1[::-1])
+            result = result + piece.scaled(coeff)
+        return result
+    result = (
+        cd_interval_by_products(u) * _D
+        + cd({"dc": 1, "cd": 1}) * u_star
+        + _D * u_star * monomial(CD, "c")
+    )
+    for (u1, u2), coeff in _cd_coproduct_word(u).items():
+        u1_star, u2_star = monomial(CD, u1[::-1]), monomial(CD, u2[::-1])
+        piece = cd_interval_by_products(u2) * _D * mixing_cd_by_products("", u1[::-1])
+        piece = piece + _D * u2_star * _D * u1_star
+        result = result + piece.scaled(coeff)
+    return result
+
+
+def second_kind_cd_by_products(word):
+    result = monomial(CD, word) + monomial(CD, word[::-1])
+    for (u1, u2), coeff in _cd_coproduct_word(word).items():
+        result = result + mixing_cd_by_products(u1[::-1], u2).scaled(coeff)
+    return result
+
+
+def delannoy_by_lattice_products(i, j):
+    """The lattice-point recursion with one NCPoly product per step."""
+    c, ne = monomial(CD, "c"), cd({"d": 2, "cc": -1})
+    west = [NCPoly(CD)] * (j + 2)
+    for x in range(-1, i + 1):
+        here = []
+        for y in range(-1, j + 1):
+            if y < 0:
+                total = west[y + 1] * c
+            else:
+                total = (west[y + 1] + here[y]) * c + west[y] * ne
+            if (x, y) in ((-1, 0), (0, -1)):
+                total = total + unit(CD)
+            here.append(total)
+        west = here
+    return west[j + 1].scaled(Fraction(1, 2))
+
+
+def by_words(p, image):
+    total = NCPoly(p.alphabet)
+    for word, coeff in p.terms.items():
+        total = total + image(word).scaled(coeff)
+    return total
+
+
+def dense_cd(rng, n, den=1):
+    return cd({w: Fraction(rng.randint(-9, 9) or 1, den) for w in cd_words(n)})
+
+
+def test_iota_matches_the_product_recursion_on_every_word():
+    for n in range(11):
+        for word in ab_words(n):
+            got = upsilon_interval_transform(monomial(AB, word))
+            assert got == iota_by_products(word), word
+
+
+def test_cd_word_recursions_match_the_product_recursions_on_every_word():
+    for n in range(11):
+        for word in cd_words(n):
+            p = monomial(CD, word)
+            assert cd_interval_transform(p) == cd_interval_by_products(word), word
+            assert second_kind_cd_transform(p) == second_kind_cd_by_products(word), word
+            for m in range(11 - n):
+                for v in cd_words(m):
+                    got = mixing_cd(p, monomial(CD, v))
+                    assert got == mixing_cd_by_products(word, v), (word, v)
+
+
+def test_cd_word_recursions_match_the_product_recursions_on_dense_polys():
+    rng = random.Random(1998)
+    for n, den in ((8, 1), (9, 4), (10, 1)):
+        p = dense_cd(rng, n, den)
+        assert cd_interval_transform(p) == by_words(p, cd_interval_by_products), n
+        assert second_kind_cd_transform(p) == by_words(p, second_kind_cd_by_products)
+    for i, j, den in ((6, 6, 1), (7, 5, 3), (4, 8, 1)):
+        p, q = dense_cd(rng, i, den), dense_cd(rng, j)
+        mixed = by_words(p, lambda u: by_words(q, lambda v: mixing_cd_by_products(u, v)))
+        assert mixing_cd(p, q) == mixed, (i, j)
+
+
+def test_delannoy_matches_the_lattice_products():
+    for i in range(13):
+        for j in range(13 - i):
+            assert delannoy_mixing(i, j) == delannoy_by_lattice_products(i, j), (i, j)
+
+
+def test_memo_values_are_not_written_by_their_callers(monkeypatch):
+    # Every memo hands its values to all callers, so a caller that writes to
+    # one corrupts the next reader.  Clear the memos, record the keys they
+    # compute, in the order the computations finish, warm them on dense inputs,
+    # snapshot every value, then clear the memos and recompute the keys in
+    # that order: each recomputed value is fresh when it is compared.
+    keys = {}  # (memo, args), in the order the computations finish
+    for module in (ncpoly, operators):
+        for name, memo in list(vars(module).items()):
+            if not hasattr(memo, "cache_clear"):
+                continue
+            memo.cache_clear()  # so that warming computes every key it meets
+
+            def recording(*args, memo=memo):
+                value = memo(*args)
+                keys.setdefault((memo, args), None)
+                return value
+
+            monkeypatch.setattr(module, name, recording)
+    rng = random.Random(18)
+    cd_interval_transform(dense_cd(rng, 10))
+    mixing_cd(dense_cd(rng, 6), dense_cd(rng, 5))
+    upsilon_interval_transform(ab({w: rng.randint(1, 9) for w in ab_words(9)}))
+    delannoy_mixing(7, 6)
+    expand_cd(dense_cd(rng, 9))
+    cd_ce_convert(dense_cd(rng, 9))
+    warmed = {memo.__name__ for memo, _ in keys}
+    assert {"_iota_word", "_mixing_cd_words", "_cd_interval_word"} <= warmed
+    assert {"_cd_coproduct_word", "_expand_cd_word"} <= warmed
+    snapshots = {(memo, args): copy.deepcopy(memo(*args)) for memo, args in keys}
+    assert not any(isinstance(value, NCPoly) for value in snapshots.values())
+    for memo, _ in keys:
+        memo.cache_clear()
+    for (memo, args), value in snapshots.items():
+        assert memo(*args) == value, (memo.__name__, args)
