@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import cache
 
 from .errors import PosetOpsError
 from .flags import (
@@ -391,10 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` reuses: `parse_args` returns a fresh namespace
+    per call, and no action has a mutable default to carry between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return USAGE_EXIT if code == 2 else code

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from posetops.cli import _split_support, main
+from posetops.cli import _parser, _split_support, build_parser, main
 from posetops.errors import PosetOpsError, TooLarge
 from posetops.ncpoly import AB, NCPoly, cd_words, to_dict
 from posetops.posets import GradedPoset, chain_poset, pell_number, poset_to_dict
+from test_golden import CALLS, DIGESTS, _run, _write_inputs
 
 
 def run_cli(capsys, argv):
@@ -512,6 +513,30 @@ def test_usage_errors_exit_64(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_a_shared_parser_prints_the_pinned_bytes(tmp_path, capsys):
+    """Every golden call, in order and then reversed, in one process, with a
+    help page, a usage error and a domain error between calls."""
+    _write_inputs(tmp_path)
+    capsys.readouterr()
+    help_page = build_parser().format_help()
+    for argv in CALLS + CALLS[::-1]:
+        assert run_cli(capsys, ["--help"]) == (0, help_page, "")
+        code, out, err = run_cli(capsys, ["verify", "--suite", "nope"])
+        assert (code, out) == (64, "") and "invalid choice: 'nope'" in err
+        code, out, err = run_cli(capsys, ["op", "delannoy", "--i", "-1", "--j", "0"])
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+        assert _run(argv, tmp_path, capsys)[:2] == DIGESTS[" ".join(argv)], argv
+
+
+def test_main_builds_the_parser_once(capsys):
+    _parser.cache_clear()
+    calls = [["op", "delannoy", "--i", "1", "--j", "1"], ["--help"], ["bogus"]] * 2
+    assert [main(argv) for argv in calls] == [0, 0, 64] * 2
+    capsys.readouterr()
+    info = _parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
 
 
 def test_verify_ladder_passes(capsys):

@@ -14,8 +14,11 @@ grows back.  No library method is named like a method of a builtin type,
 because a read of such a name cannot be told from the builtin one.  The
 checks of outside posets and complexes run in their doors only, and the
 values the package derives from checked ones do not pass those doors.
+The command line reuses one parser for every call, so no default in its
+tree is a list, dict or set that one call could fill for the next.
 """
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
@@ -24,6 +27,7 @@ from types import FunctionType
 import pytest
 
 import posetops
+from posetops.cli import build_parser
 from posetops.complexes import SimplicialComplex
 from posetops.posets import Poset
 from posetops.verify import SUITES, corpus
@@ -176,6 +180,37 @@ def test_public_callables_are_plain_functions(layer):
         and not isinstance(value, FunctionType)
     ]
     assert wrapped == []
+
+
+def _mutable_defaults(parser: argparse.ArgumentParser) -> list:
+    """The (prog, dest) of every action default and `set_defaults` value in
+    the tree under `parser` that is a list, dict or set."""
+    found = [
+        (parser.prog, dest)
+        for dest, value in parser._defaults.items()
+        if isinstance(value, (list, dict, set))
+    ]
+    for action in parser._actions:
+        if isinstance(action.default, (list, dict, set)):
+            found.append((parser.prog, action.dest))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found += _mutable_defaults(sub)
+    return found
+
+
+def test_the_cli_parser_has_no_mutable_defaults():
+    assert _mutable_defaults(build_parser()) == []
+
+
+def test_the_mutable_default_check_sees_a_planted_one():
+    parser = argparse.ArgumentParser(prog="p")
+    parser.add_argument("--seed", type=int, default=0, choices=[0, 1])
+    op = parser.add_subparsers(dest="command").add_parser("op")
+    op.set_defaults(handler=print, seen={})
+    mixing = op.add_subparsers(dest="which").add_parser("M")
+    mixing.add_argument("--in", dest="in_paths", action="append", default=[])
+    assert _mutable_defaults(parser) == [("p op", "seen"), ("p op M", "in_paths")]
 
 
 def _dunder(name: str) -> bool:
