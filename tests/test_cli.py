@@ -519,7 +519,6 @@ def test_a_shared_parser_prints_the_pinned_bytes(tmp_path, capsys):
     """Every golden call, in order and then reversed, in one process, with a
     help page, a usage error and a domain error between calls."""
     _write_inputs(tmp_path)
-    capsys.readouterr()
     help_page = build_parser().format_help()
     for argv in CALLS + CALLS[::-1]:
         assert run_cli(capsys, ["--help"]) == (0, help_page, "")
