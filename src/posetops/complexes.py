@@ -13,14 +13,7 @@ close their faces by construction and build through
 from fractions import Fraction
 from functools import cache
 
-from .errors import (
-    FaceNotInComplex,
-    InvalidSize,
-    NotAnEdgePermutation,
-    PosetOpsError,
-    TooLarge,
-    UnknownVertex,
-)
+from .errors import FaceNotInComplex, InvalidSize, PosetOpsError, TooLarge
 from .ncpoly import NCPoly, X, _apply_wordwise, monomial, unit
 from .posets import GradedPoset, Poset
 
@@ -195,11 +188,6 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex._wrap({g | h for g in k_faces for h in l_faces})
 
 
-def suspension(K: SimplicialComplex) -> SimplicialComplex:
-    poles = SimplicialComplex([(), ("pole+",), ("pole-",)])
-    return join(K, poles)
-
-
 def midpoint_label(u: str, v: str) -> str:
     lo, hi = sorted((u, v))
     return f"mid({lo}|{hi})"
@@ -228,33 +216,16 @@ def stellar_subdivide(K: SimplicialComplex, edge) -> SimplicialComplex:
     return SimplicialComplex._wrap(kept)
 
 
-def tchebyshev_triangulation(K: SimplicialComplex, edge_order=None) -> SimplicialComplex:
+def tchebyshev_triangulation(K: SimplicialComplex) -> SimplicialComplex:
     """Stellar subdivision at every original edge, one after another.
 
     Midpoints introduced along the way are never subdivided themselves.
     The face numbers of the result do not depend on the order.
     """
-    original = K.edges()
-    if edge_order is None:
-        chosen = original
-    else:
-        chosen = [tuple(sorted(e)) for e in edge_order]
-        if sorted(chosen) != sorted(original):
-            raise NotAnEdgePermutation("edge_order must list each original edge exactly once")
     out = K
-    for edge in chosen:
+    for edge in K.edges():
         out = stellar_subdivide(out, edge)
     return out
-
-
-def second_kind_links(TK: SimplicialComplex, original_vertices) -> list:
-    """The links of the given vertices, one complex per vertex, in order."""
-    members = []
-    for v in original_vertices:
-        if v not in TK.vertices:
-            raise UnknownVertex(f"{v!r} is not a vertex")
-        members.append(link(TK, {v}))
-    return members
 
 
 # -- order complexes -------------------------------------------------------------

@@ -42,14 +42,6 @@ class FaceNotInComplex(PosetOpsError):
     """The requested face is not part of the complex."""
 
 
-class NotAnEdgePermutation(PosetOpsError):
-    """The edge list is not a permutation of the complex's edges."""
-
-
-class UnknownVertex(PosetOpsError):
-    """A referenced vertex is not part of the complex."""
-
-
 class AlphabetMismatch(PosetOpsError):
     """Polynomials over different alphabets cannot be combined."""
 

@@ -1,8 +1,10 @@
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from posetops import verify
 from posetops.complexes import (
     F_polynomial,
     SimplicialComplex,
@@ -13,27 +15,19 @@ from posetops.complexes import (
     link,
     midpoint_label,
     order_complex,
-    second_kind_links,
     stellar_subdivide,
-    suspension,
     tchebyshev_triangulation,
     univariate_to_dict,
     vertex_link_transform,
 )
-from posetops.errors import (
-    FaceNotInComplex,
-    InvalidSize,
-    NotAnEdgePermutation,
-    PosetOpsError,
-    TooLarge,
-    UnknownVertex,
-)
+from posetops.errors import FaceNotInComplex, InvalidSize, PosetOpsError, TooLarge
 from posetops.ncpoly import NCPoly, X
 from posetops.posets import (
     Poset,
     boolean_lattice,
     chain_poset,
     graded_interval_poset,
+    interval_label,
     interval_poset,
     ladder_poset,
 )
@@ -191,11 +185,6 @@ def test_join_F_multiplicative():
         assert F_polynomial(join(K, L)) == F_polynomial(K) * F_polynomial(L)
 
 
-def test_suspension_of_point():
-    S = suspension(point())
-    assert S.f_vector() == [1, 3, 2]
-
-
 def test_stellar_subdivision_of_triangle_edge():
     K = solid_triangle()
     out = stellar_subdivide(K, ("x", "y"))
@@ -225,19 +214,9 @@ def test_tchebyshev_order_invariance_on_small_complexes():
         edges = K.edges()
         seen = set()
         for order in itertools.permutations(edges):
-            seen.add(tuple(tchebyshev_triangulation(K, list(order)).f_vector()))
+            seen.add(tuple(reduce(stellar_subdivide, order, K).f_vector()))
         assert len(seen) == 1
-
-
-def test_tchebyshev_rejects_bad_edge_orders():
-    K = boundary_triangle()
-    edges = K.edges()
-    with pytest.raises(NotAnEdgePermutation):
-        tchebyshev_triangulation(K, edges[:2])
-    with pytest.raises(NotAnEdgePermutation):
-        tchebyshev_triangulation(K, edges + [edges[0]])
-    with pytest.raises(NotAnEdgePermutation):
-        tchebyshev_triangulation(K, edges[:2] + [("x", "w")])
+        assert seen == {tuple(tchebyshev_triangulation(K).f_vector())}
 
 
 def test_triangulation_F_identity():
@@ -249,7 +228,7 @@ def test_triangulation_F_identity():
 
 def test_second_kind_links_of_edge():
     T = tchebyshev_triangulation(single_edge())
-    links = second_kind_links(T, ["u", "v"])
+    links = [link(T, {v}) for v in ("u", "v")]
     assert len(links) == 2
     for member in links:
         assert member.f_vector() == [1, 1]
@@ -258,8 +237,8 @@ def test_second_kind_links_of_edge():
         total = total + F_polynomial(member)
     assert total == xpoly([1, 1])
     assert total == vertex_link_transform(F_polynomial(single_edge()))
-    with pytest.raises(UnknownVertex):
-        second_kind_links(T, ["u", "w"])
+    with pytest.raises(FaceNotInComplex):
+        link(T, {"w"})
 
 
 def test_second_kind_links_frozen_sums():
@@ -272,8 +251,8 @@ def test_second_kind_links_frozen_sums():
     for K, expected in cases:
         T = tchebyshev_triangulation(K)
         total = NCPoly(X)
-        for member in second_kind_links(T, K.vertices):
-            total = total + F_polynomial(member)
+        for v in K.vertices:
+            total = total + F_polynomial(link(T, {v}))
         assert total == xpoly(expected)
         assert total == vertex_link_transform(F_polynomial(K))
 
@@ -281,8 +260,8 @@ def test_second_kind_links_frozen_sums():
 def test_second_kind_link_f_sum_of_solid_triangle():
     T = tchebyshev_triangulation(solid_triangle())
     summed = [0, 0, 0]
-    for member in second_kind_links(T, solid_triangle().vertices):
-        fv = member.f_vector()
+    for v in solid_triangle().vertices:
+        fv = link(T, {v}).f_vector()
         for i, count in enumerate(fv):
             summed[i] += count
     assert summed == [3, 7, 4]
@@ -329,20 +308,66 @@ def test_containment_edge_order_puts_wide_intervals_first():
     assert set(order[1:]) == {("0", "1"), ("1", "2")}
 
 
+# -- the interval complex theorem: the face-level oracle ---------------------------
+# The suite compares 1-skeletons.  Here the whole complexes are built: Δ(P)
+# is subdivided at its edges in containment order, its vertices renamed u ->
+# [u,u] and mid(u|v) -> [u,v], and its faces compared with those of Δ(I(P)).
+
+
+def face_level_interval_check(P):
+    base = order_complex(P)
+    subdivided = reduce(
+        stellar_subdivide, verify.containment_edge_order(P, base.edges()), base
+    )
+    rename = {u: interval_label(u, u) for u in P.labels}
+    for x, y in base.edges():
+        lo, hi = (x, y) if P.leq(x, y) else (y, x)
+        rename[midpoint_label(x, y)] = interval_label(lo, hi)
+    renamed = {frozenset(rename[v] for v in f) for f in subdivided.faces}
+    return renamed == order_complex(interval_poset(P)).faces
+
+
+def assert_both_routes_hold(P):
+    assert face_level_interval_check(P)
+    assert order_complex_of_intervals_check(P)
+
+
 def test_interval_check_on_elbow_poset():
     P = Poset(
         ["u1", "u2", "u3", "u4"], [("u1", "u2"), ("u2", "u3"), ("u1", "u4")]
     )
-    assert order_complex_of_intervals_check(P)
+    assert_both_routes_hold(P)
 
 
 def test_interval_check_on_small_posets():
-    assert order_complex_of_intervals_check(chain_poset(1))
-    assert order_complex_of_intervals_check(chain_poset(2))
-    assert order_complex_of_intervals_check(boolean_lattice(2))
+    assert_both_routes_hold(chain_poset(1))
+    assert_both_routes_hold(chain_poset(2))
+    assert_both_routes_hold(boolean_lattice(2))
     antichain = Poset(["x", "y", "z"], [])
-    assert order_complex_of_intervals_check(antichain)
-    assert order_complex_of_intervals_check(ladder_poset(1))
+    assert_both_routes_hold(antichain)
+    assert_both_routes_hold(ladder_poset(1))
+
+
+def test_graph_check_agrees_with_the_face_level_oracle_on_the_corpus():
+    for seed in (0, 1):
+        small = [P for _, P in corpus(seed) if len(P) <= 12]
+        assert len(small) == 64
+        for P in small:
+            assert_both_routes_hold(P)
+
+
+def test_interval_check_fails_when_smaller_intervals_come_first(monkeypatch):
+    containment = verify.containment_edge_order
+    monkeypatch.setattr(
+        verify, "containment_edge_order", lambda P, edges: containment(P, edges)[::-1]
+    )
+    cases = verify.interval_complex_cases(0)
+    failed = [c for c in cases if not c["pass"]]
+    assert (len(failed), len(cases)) == (35, 39)
+    # both routes see the same subdivisions, flag in any edge order
+    for _, P in corpus(0):
+        if len(P) <= 8:
+            assert order_complex_of_intervals_check(P) == face_level_interval_check(P)
 
 
 # -- every complex the package builds passes the door ------------------------------

@@ -35,9 +35,7 @@ from posetops.verify import SUITES, corpus
 LAYERS = ("posets", "flags", "ncpoly", "operators", "complexes", "verify", "cli")
 LIBRARY = ("posets", "flags", "ncpoly", "operators", "complexes")
 WORD_LAYERS = ("ncpoly", "operators", "flags")
-# The paper's type B theorem, still to be made executable (see ROADMAP.md),
-# is a statement about a suspension.
-UNUSED_ALLOWED = {"complexes.suspension"}
+UNUSED_ALLOWED = set()
 PACKAGE_FILES = sorted(Path(posetops.__file__).parent.glob("*.py"))
 # A call such as `word.count("a")` reads the attribute `count`, so the
 # reference check cannot tell a library method of that name from the

@@ -1,11 +1,12 @@
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import perm
 
 import pytest
 
 from posetops import verify
-from posetops.complexes import stellar_subdivide, tchebyshev_triangulation
+from posetops.complexes import stellar_subdivide
 from posetops.errors import PosetOpsError
 from posetops.ncpoly import AB, NCPoly, X
 from posetops.posets import Poset, chain_poset, count_chains_with_support, interval_poset
@@ -163,7 +164,7 @@ def test_prefix_walk_finds_the_f_vectors_of_every_edge_order(monkeypatch):
     monkeypatch.setattr(verify, "stellar_subdivide", counted)
     for _, K in complex_corpus():
         by_permutation = {
-            tuple(tchebyshev_triangulation(K, order).f_vector())
+            tuple(reduce(stellar_subdivide, order, K).f_vector())
             for order in itertools.permutations(K.edges())
         }
         calls.clear()
