@@ -5,13 +5,12 @@ Faces are stored explicitly (every face, not just facets), so subdivision
 and links stay auditable at desk scale.  A global face cap keeps runaway
 constructions from exhausting memory.  `SimplicialComplex(faces)` is the
 door for outside faces and refuses a family that is not closed downward.
-`from_facets`, `link`, `join`, `stellar_subdivide` and `order_complex`
-close their faces by construction and build through
-`SimplicialComplex._wrap`, which sees only to the cap and the empty face.
+`from_facets`, `link`, `stellar_subdivide` and `order_complex` close
+their faces by construction and build through `SimplicialComplex._wrap`,
+which sees only to the cap and the empty face.
 """
 
 from fractions import Fraction
-from functools import cache
 
 from .errors import FaceNotInComplex, InvalidSize, PosetOpsError, TooLarge
 from .ncpoly import NCPoly, X, _apply_wordwise, monomial, unit
@@ -26,19 +25,17 @@ FACE_CAP = 1 << 16
 
 
 def chebyshev_T(n: int) -> NCPoly:
-    return NCPoly._wrap(X, dict(_chebyshev(n, 1).terms))
+    return _chebyshev(n, 1)
 
 
 def chebyshev_U(n: int) -> NCPoly:
-    return NCPoly._wrap(X, dict(_chebyshev(n, 2).terms))
+    return _chebyshev(n, 2)
 
 
-@cache
 def _chebyshev(n: int, first: int) -> NCPoly:
     """P_n of P_0 = 1, P_1 = first·x, P_k = 2x·P_(k-1) − P_(k-2): T_n for
     first = 1, U_n for first = 2.  A loop, not a recursion, so no degree
-    meets the recursion limit.  The memo hands its polynomials to the
-    public wrappers, which copy them."""
+    meets the recursion limit."""
     if n < 0:
         raise InvalidSize(f"need n >= 0, got {n}")
     x = monomial(X, "x")
@@ -177,17 +174,6 @@ def link(K: SimplicialComplex, face) -> SimplicialComplex:
     return SimplicialComplex._wrap({f - face for f in K.faces if face <= f})
 
 
-def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
-    k_faces = K.faces
-    l_faces = L.faces
-    if set(K.vertices) & set(L.vertices):
-        k_faces = {frozenset("L:" + v for v in f) for f in k_faces}
-        l_faces = {frozenset("R:" + v for v in f) for f in l_faces}
-    if len(k_faces) * len(l_faces) > FACE_CAP:
-        raise TooLarge("join would exceed the face cap")
-    return SimplicialComplex._wrap({g | h for g in k_faces for h in l_faces})
-
-
 def midpoint_label(u: str, v: str) -> str:
     lo, hi = sorted((u, v))
     return f"mid({lo}|{hi})"
@@ -241,15 +227,17 @@ def order_complex(P: Poset, strip_extremes: bool = False) -> SimplicialComplex:
         i: [j for j in indices if j != i and P.up[i] >> j & 1] for i in indices
     }
     faces: set[frozenset] = {frozenset()}
-
-    def visit(i, chain):
-        chain = chain + (P.labels[i],)
-        faces.add(frozenset(chain))
-        if len(faces) > FACE_CAP:
-            raise TooLarge(f"more than {FACE_CAP} chains")
-        for j in above[i]:
-            visit(j, chain)
-
     for i in indices:
-        visit(i, ())
+        _add_chains(P.labels, above, i, (), faces)
     return SimplicialComplex._wrap(faces)
+
+
+def _add_chains(labels, above: dict, i: int, chain: tuple, faces: set) -> None:
+    """Add to faces the chain extended by element i, and every extension of
+    that by the elements above i."""
+    chain = chain + (labels[i],)
+    faces.add(frozenset(chain))
+    if len(faces) > FACE_CAP:
+        raise TooLarge(f"more than {FACE_CAP} chains")
+    for j in above[i]:
+        _add_chains(labels, above, j, chain, faces)

@@ -335,28 +335,28 @@ def rewrite_ab_to_cd(p: NCPoly) -> NCPoly:
     """
     if p.alphabet != AB:
         raise AlphabetMismatch("rewrite_ab_to_cd expects an ab-polynomial")
-    n = p.homogeneous_degree()
     out: dict[str, object] = {}
-
-    def peel(terms: dict, n: int, prefix: str) -> None:
-        if not terms:
-            return
-        if n == 0:
-            out[prefix] = terms[""]
-            return
-        after_a = {w[1:]: c for w, c in terms.items() if w[0] == "a"}
-        rest = {w[1:]: c for w, c in terms.items() if w[0] == "b"}
-        _accumulate(rest, [(w, -c) for w, c in after_a.items()])
-        p2 = {w[1:]: c for w, c in rest.items() if w[:1] == "a"}
-        b_part = {w: c for w, c in rest.items() if w[:1] != "a"}
-        if b_part != {"b" + w: -c for w, c in p2.items()}:
-            raise NotExpressible("not a cd-polynomial under the Psi convention")
-        p1 = _accumulate(after_a, [("b" + w, -c) for w, c in p2.items()])
-        peel(p1, n - 1, prefix + "c")
-        peel(p2, n - 2, prefix + "d")
-
-    peel(p.terms, n, "")
+    _peel(p.terms, p.homogeneous_degree(), "", out)
     return NCPoly._wrap(CD, out)
+
+
+def _peel(terms: dict, n: int, prefix: str, out: dict) -> None:
+    """Write into out, under prefix, the cd-terms of the degree-n ab-terms."""
+    if not terms:
+        return
+    if n == 0:
+        out[prefix] = terms[""]
+        return
+    after_a = {w[1:]: c for w, c in terms.items() if w[0] == "a"}
+    rest = {w[1:]: c for w, c in terms.items() if w[0] == "b"}
+    _accumulate(rest, [(w, -c) for w, c in after_a.items()])
+    p2 = {w[1:]: c for w, c in rest.items() if w[:1] == "a"}
+    b_part = {w: c for w, c in rest.items() if w[:1] != "a"}
+    if b_part != {"b" + w: -c for w, c in p2.items()}:
+        raise NotExpressible("not a cd-polynomial under the Psi convention")
+    p1 = _accumulate(after_a, [("b" + w, -c) for w, c in p2.items()])
+    _peel(p1, n - 1, prefix + "c", out)
+    _peel(p2, n - 2, prefix + "d", out)
 
 
 def _ce_image(word: str) -> dict:

@@ -37,6 +37,7 @@ from .ncpoly import (
     CE,
     NCPoly,
     X,
+    _accumulate,
     asym_basis,
     cd_ce_convert,
     cd_words,
@@ -569,27 +570,29 @@ def ladder_cases() -> list:
 # -- nested interval chains --------------------------------------------------------
 
 
-@cache
 def _support_chain_count(m: int) -> int:
     """Chains of nested intervals over a fixed (m+1)-chain that use every
     chain element as an endpoint, counted by innermost interval and
     outward extension."""
     full = (1 << (m + 1)) - 1
-
-    @cache
-    def extend(i: int, j: int, needed: int) -> int:
-        total = 1 if needed == 0 else 0
-        for k in range(i, -1, -1):
-            for l in range(j, m + 1):
-                if (k, l) != (i, j):
-                    total += extend(k, l, needed & ~(1 << k) & ~(1 << l))
-        return total
-
     count = 0
     for i in range(m + 1):
         for j in range(i, m + 1):
-            count += extend(i, j, full & ~(1 << i) & ~(1 << j))
+            count += _extensions(m, i, j, full & ~(1 << i) & ~(1 << j))
     return count
+
+
+@cache
+def _extensions(m: int, i: int, j: int, needed: int) -> int:
+    """Chains of nested intervals over the (m+1)-chain with innermost
+    interval [i, j] whose other endpoints cover the elements of the mask
+    needed."""
+    total = 1 if needed == 0 else 0
+    for k in range(i, -1, -1):
+        for l in range(j, m + 1):
+            if (k, l) != (i, j):
+                total += _extensions(m, k, l, needed & ~(1 << k) & ~(1 << l))
+    return total
 
 
 def _interval_support_count(I: Poset, support) -> int:
@@ -607,9 +610,8 @@ def _interval_support_count(I: Poset, support) -> int:
         topped = {endpoints[t]: 1}
         for s, below in done:
             if I.down[t] >> s & 1:
-                for mask, count in below.items():
-                    key = mask | endpoints[t]
-                    topped[key] = topped.get(key, 0) + count
+                pairs = ((mask | endpoints[t], count) for mask, count in below.items())
+                _accumulate(topped, pairs)
         done.append((t, topped))
     full = (1 << (m + 1)) - 1
     return sum(topped.get(full, 0) for _, topped in done)
@@ -665,15 +667,17 @@ def edge_order_f_vectors(K: SimplicialComplex) -> set:
     its subdivisions, and every order's full subdivision is still built.
     """
     found = set()
-
-    def walk(L, rest):
-        if not rest:
-            found.add(tuple(L.f_vector()))
-        for k, edge in enumerate(rest):
-            walk(stellar_subdivide(L, edge), rest[:k] + rest[k + 1 :])
-
-    walk(K, K.edges())
+    _walk_edge_orders(K, K.edges(), found)
     return found
+
+
+def _walk_edge_orders(L: SimplicialComplex, rest: list, found: set) -> None:
+    """Add to found the f-vector of L subdivided at the edges of rest in
+    every order."""
+    if not rest:
+        found.add(tuple(L.f_vector()))
+    for k, edge in enumerate(rest):
+        _walk_edge_orders(stellar_subdivide(L, edge), rest[:k] + rest[k + 1 :], found)
 
 
 def triangulation_cases() -> list:

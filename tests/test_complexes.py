@@ -11,7 +11,6 @@ from posetops.complexes import (
     cheb_transform_T,
     chebyshev_T,
     chebyshev_U,
-    join,
     link,
     midpoint_label,
     order_complex,
@@ -159,30 +158,6 @@ def test_link_is_the_two_condition_scan_on_every_corpus_face():
         for face in K.faces:
             expected = {g for g in K.faces if not g & face and g | face in K.faces}
             assert link(K, face).faces == expected
-
-
-def test_join_disjoint_labels():
-    J = join(single_edge(), point())
-    assert J.f_vector() == [1, 3, 3, 1]
-    # convolution of (1,2,1) and (1,1)
-    F = F_polynomial(single_edge()) * F_polynomial(point())
-    assert F_polynomial(J) == F
-
-
-def test_join_prefixes_on_collision():
-    J = join(point(), point())
-    assert set(J.vertices) == {"L:p", "R:p"}
-    assert J.f_vector() == [1, 2, 1]
-
-
-def test_join_F_multiplicative():
-    pairs = [
-        (single_edge(), boundary_triangle()),
-        (point(), figure_complex()),
-        (boundary_triangle(), boundary_triangle()),
-    ]
-    for K, L in pairs:
-        assert F_polynomial(join(K, L)) == F_polynomial(K) * F_polynomial(L)
 
 
 def test_stellar_subdivision_of_triangle_edge():
@@ -371,7 +346,7 @@ def test_interval_check_fails_when_smaller_intervals_come_first(monkeypatch):
 
 
 # -- every complex the package builds passes the door ------------------------------
-# from_facets, link, join, stellar_subdivide and order_complex skip the
+# from_facets, link, stellar_subdivide and order_complex skip the
 # closure check of SimplicialComplex(faces); the check is the oracle here.
 
 
@@ -381,8 +356,7 @@ def assert_passes_the_door(K):
 
 
 def test_subdivisions_links_and_joins_pass_the_door():
-    named = complex_corpus()
-    for _, K in named:
+    for _, K in complex_corpus():
         assert_passes_the_door(K)
         for edge in K.edges():
             assert_passes_the_door(stellar_subdivide(K, edge))
@@ -391,8 +365,6 @@ def test_subdivisions_links_and_joins_pass_the_door():
         for L in (K, T):
             for face in L.faces:
                 assert_passes_the_door(link(L, face))
-    for (_, K), (_, L) in itertools.combinations_with_replacement(named, 2):
-        assert_passes_the_door(join(K, L))
 
 
 def test_order_complexes_pass_the_door():

@@ -10,8 +10,11 @@ outside (as perfbench/layers.py does, wrapping only FunctionType) still
 sees each call.  Every module-level function and class of the library
 modules, private ones included, and every non-dunder method of those
 classes, is used somewhere in the package, so no helper that nothing calls
-grows back.  No library method is named like a method of a builtin type,
-because a read of such a name cannot be told from the builtin one.  The
+grows back.  None of them is named like a method of a builtin type,
+because a read of such a name cannot be told from the builtin one.  No
+function nested in another reads its own name or carries a memo: the
+recursions are module-level helpers that take their state as arguments,
+so no call leaves a reference cycle behind.  The
 checks of outside posets and complexes run in their doors only, and the
 values the package derives from checked ones do not pass those doors.
 The command line reuses one parser for every call, so no default in its
@@ -20,6 +23,7 @@ tree is a list, dict or set that one call could fill for the next.
 
 import argparse
 import ast
+import gc
 import importlib
 from pathlib import Path
 from types import FunctionType
@@ -27,10 +31,13 @@ from types import FunctionType
 import pytest
 
 import posetops
+from posetops import verify
 from posetops.cli import build_parser
-from posetops.complexes import SimplicialComplex
-from posetops.posets import Poset
-from posetops.verify import SUITES, corpus
+from posetops.complexes import SimplicialComplex, order_complex
+from posetops.flags import ab_index
+from posetops.ncpoly import rewrite_ab_to_cd
+from posetops.posets import Poset, boolean_lattice, graded_interval_poset
+from posetops.verify import SUITES, corpus, edge_order_f_vectors
 
 LAYERS = ("posets", "flags", "ncpoly", "operators", "complexes", "verify", "cli")
 LIBRARY = ("posets", "flags", "ncpoly", "operators", "complexes")
@@ -164,6 +171,88 @@ def test_the_polynomial_memo_check_sees_a_planted_one():
     ]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _nested_cycles(sources: dict) -> list:
+    """The functions nested in another function among `sources` that read
+    their own name or carry cache or lru_cache, as module.outer.inner.  Each
+    call of the outer function makes such a function anew, and one that
+    reads itself through its closure cell is a reference cycle."""
+    found = []
+    for module, text in sources.items():
+        stack = [(ast.parse(text), module, False)]
+        while stack:
+            node, path, nested = stack.pop()
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                path = f"{path}.{node.name}"
+                if nested and isinstance(node, FUNCTIONS) and (
+                    any(map(_is_memo, node.decorator_list))
+                    or any(
+                        isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)
+                        and n.id == node.name
+                        for n in ast.walk(node)
+                    )
+                ):
+                    found.append(path)
+                nested = nested or isinstance(node, FUNCTIONS)
+            stack += [(child, path, nested) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_no_nested_function_recurses_or_memoizes():
+    assert _nested_cycles(_package_sources()) == []
+
+
+def test_the_nested_function_check_sees_planted_ones():
+    planted = (
+        "def order_complex(P):\n"
+        "    def visit(i):\n"
+        "        for j in P.up[i]:\n            visit(j)\n"
+        "    visit(0)\n\n\n"
+        "class Walker:\n"
+        "    def walk(self, K):\n"
+        "        def step(rest):\n"
+        "            return [step(rest[1:])] if rest else []\n"
+        "        return step(K)\n\n\n"
+        "def _count(m):\n"
+        "    @cache\n    def extend(i):\n        return i\n\n"
+        "    @functools.lru_cache(maxsize=None)\n    def inner(i):\n        return i\n\n"
+        "    def plain(i):\n        return _count(i - 1) if i else 0\n\n"
+        "    return extend(m) + inner(m) + plain(m)\n\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+    )
+    assert _nested_cycles({"verify": planted}) == [
+        "verify.Walker.walk.step",
+        "verify._count.extend",
+        "verify._count.inner",
+        "verify.order_complex.visit",
+    ]
+
+
+@pytest.mark.parametrize(
+    "recursion, arguments",
+    [
+        (order_complex, lambda: (graded_interval_poset(boolean_lattice(4)), True)),
+        (rewrite_ab_to_cd, lambda: (ab_index(boolean_lattice(4)),)),
+        (edge_order_f_vectors, lambda: (SimplicialComplex.from_facets(["abc"]),)),
+        (verify._support_chain_count, lambda: (7,)),
+    ],
+    ids=["order_complex", "rewrite_ab_to_cd", "edge_order_f_vectors", "support_chains"],
+)
+def test_recursions_leave_no_reference_cycles(recursion, arguments):
+    # with the collector off, what a call leaves in cycles is still there to count
+    args = arguments()
+    gc.collect()
+    gc.disable()
+    try:
+        recursion(*args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("layer", LAYERS)
 def test_public_callables_are_plain_functions(layer):
     module = importlib.import_module(f"posetops.{layer}")
@@ -239,35 +328,35 @@ def _unreferenced(sources: dict) -> list:
     for module, tree in trees.items():
         if module not in LIBRARY:
             continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            defined = [(node.name, node)]
-            if isinstance(node, ast.ClassDef):
-                defined += [
-                    (f"{node.name}.{method.name}", method)
-                    for method in node.body
-                    if isinstance(method, ast.FunctionDef) and not _dunder(method.name)
-                ]
-            for name, definition in defined:
-                inside = set(map(id, ast.walk(definition)))
-                if all(id(r) in inside for r in readers.get(definition.name, [])):
-                    found.append(f"{module}.{name}")
+        for name, definition in _definitions(tree):
+            inside = set(map(id, ast.walk(definition)))
+            if all(id(r) in inside for r in readers.get(definition.name, [])):
+                found.append(f"{module}.{name}")
     return found
 
 
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level function and class of the tree, and
+    of each non-dunder method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not _dunder(method.name):
+                    yield f"{node.name}.{method.name}", method
+
+
 def _builtin_named_methods(sources: dict) -> list:
-    """The methods of the LIBRARY classes among `sources` that are named
-    like a method of a builtin type; slots and other attributes are not
-    methods."""
+    """The module-level functions and classes of the LIBRARY modules among
+    `sources`, and the methods of those classes, that are named like a
+    method of a builtin type; slots and other attributes are not methods."""
     return [
-        f"{module}.{node.name}.{method.name}"
+        f"{module}.{name}"
         for module, text in sources.items()
         if module in LIBRARY
-        for node in ast.parse(text).body
-        if isinstance(node, ast.ClassDef)
-        for method in node.body
-        if isinstance(method, ast.FunctionDef) and method.name in BUILTIN_METHODS
+        for name, definition in _definitions(ast.parse(text))
+        if definition.name in BUILTIN_METHODS
     ]
 
 
@@ -288,10 +377,13 @@ def test_the_builtin_name_check_sees_a_count_method():
         "class FlagFVector:\n"
         "    __slots__ = ('index',)\n\n"
         "    def count(self, S):\n        return 0\n\n"
-        "    def sorted_items(self):\n        return []\n"
+        "    def sorted_items(self):\n        return []\n\n\n"
+        "def join(K, L):\n    return K\n\n\n"
+        "def link(K, face):\n    return K\n"
     )
     assert _builtin_named_methods({"flags": vector, "cli": vector}) == [
-        "flags.FlagFVector.count"
+        "flags.FlagFVector.count",
+        "flags.join",
     ]
 
 
