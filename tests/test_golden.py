@@ -72,6 +72,14 @@ CALLS = (
         ["verify", "--suite", "mixing"],
         ["verify", "--suite", "ii"],
         ["verify", "--suite", "eigen"],
+        ["verify", "--suite", "iota"],
+        ["verify", "--suite", "jojic-ab"],
+        ["verify", "--suite", "jojic-cd"],
+        ["verify", "--suite", "ladder"],
+        ["verify", "--suite", "all", "--seed", "1"],
+        ["poset", "gen", "--kind", "cube", "--n", "2"],
+        ["poset", "chains", "--kind", "ladder", "--n", "2", "--support", "0̂,+1,1̂"],
+        ["poset", "eulerian", "--in", "boolean3"],
     ]
     + [
         ["poset", action, "--in", name]
@@ -136,6 +144,16 @@ DIGESTS = {
     # eigen suite exits 1 on the two lift witnesses (README, check 11)
     "verify --suite ii": (0, "c5d7f675926fd2b94207fffb34f8d1aabb7fb606843b309bdbca90597723bbc3"),
     "verify --suite eigen": (1, "4f8675a9d6193670675ddb250b0204ef70bfe7ae78b70ee6b5615f15017b54ac"),
+    # recorded before verify's corpora were read from tables and the CLI
+    # handlers returned their JSON values to `main`
+    "verify --suite iota": (0, "76e84d1c2a3bfb4cdaf6095ad4600a9cb65f5ea21e5ca8896ad7f53c084d24e1"),
+    "verify --suite jojic-ab": (0, "0235c848f09058f98664fbc7f027b65d1c412a6f86cac83b8611082c15d49075"),
+    "verify --suite jojic-cd": (0, "2fd24a2d2d1ad1b45ad131126efece8281893f61e32cf18dba423ed9d47e8e26"),
+    "verify --suite ladder": (0, "19321da0ccf0c67901ec36043d78aec913fda5fe6034ea2b9b149bfa6927936d"),
+    "verify --suite all --seed 1": (1, "0ad9a820b2df05fce1671a99ff0be856ca1c48eb48c174e1a4a612117229f408"),
+    "poset gen --kind cube --n 2": (0, "2fc0c717f7c3bacafd885c67144efd2774203995d414cd813617c62f109af8f8"),
+    "poset chains --kind ladder --n 2 --support 0̂,+1,1̂": (0, "10159baf262b43a92d95db59dae1f72c645127301661e0a3ce4e38b295a97c58"),
+    "poset eulerian --in boolean3": (0, "ff5f8ab4261b7eb61bc92a6da2743ca91e69789ef3856a52f3ac809854b686f1"),
     # recorded before derived posets were built from index covers
     "poset intervals --in boolean3": (0, "7da1656b10d80d0b796d0d74e6c283130e0355827bbbc12b5ac10a9df9b0dee5"),
     "poset graded-intervals --in boolean3": (0, "b555733a76c3c3050a5ebbf88cace594983d8efafb2289a1caeb6be338af1ae0"),
