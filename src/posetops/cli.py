@@ -145,9 +145,8 @@ def _poset_argument(args) -> GradedPoset:
 # -- poset subcommands -----------------------------------------------------------
 
 
-def _cmd_poset_gen(args) -> int:
-    _emit(poset_to_dict(generate(args.kind, args.n)), args.out)
-    return 0
+def _cmd_poset_gen(args):
+    return poset_to_dict(generate(args.kind, args.n))
 
 
 # The dispatch tables below call through this module's names at call time,
@@ -196,20 +195,16 @@ _POSET_FILE_ACTIONS = {
 _TWO_POSET_ACTIONS = ("product", "diamond")
 
 
-def _cmd_poset_file(args) -> int:
+def _cmd_poset_file(args):
     _, loader, result = _POSET_FILE_ACTIONS[args.action]
     paths = [args.in_path]
     if args.action in _TWO_POSET_ACTIONS:
         paths.append(args.in2_path)
-    _emit(result(*[loader(path) for path in paths]), args.out)
-    return 0
+    return result(*[loader(path) for path in paths])
 
 
-def _cmd_poset_chains(args) -> int:
-    P = _poset_argument(args)
-    support = _split_support(args.support)
-    _emit(count_chains_with_support(P, support), args.out)
-    return 0
+def _cmd_poset_chains(args):
+    return count_chains_with_support(_poset_argument(args), _split_support(args.support))
 
 
 # -- index subcommands -----------------------------------------------------------
@@ -228,10 +223,8 @@ _INDEX = {
 }
 
 
-def _cmd_index(args) -> int:
-    P = _poset_argument(args)
-    _emit(_INDEX[args.which][1](P), args.out)
-    return 0
+def _cmd_index(args):
+    return _INDEX[args.which][1](_poset_argument(args))
 
 
 # -- op subcommands --------------------------------------------------------------
@@ -254,13 +247,11 @@ _UNARY_OPS = {
 }
 
 
-def _cmd_op_unary(args) -> int:
-    result = _UNARY_OPS[args.which][1](_load_poly(args.in_path))
-    _emit(poly_to_dict(result), args.out)
-    return 0
+def _cmd_op_unary(args):
+    return poly_to_dict(_UNARY_OPS[args.which][1](_load_poly(args.in_path)))
 
 
-def _cmd_op_mixing(args) -> int:
+def _cmd_op_mixing(args):
     p, q = _load_poly(args.in_path), _load_poly(args.in2_path)
     if p.alphabet == AB and q.alphabet == AB:
         result = mixing_ab(p, q)
@@ -268,22 +259,18 @@ def _cmd_op_mixing(args) -> int:
         result = mixing_cd(p, q)
     else:
         raise PosetOpsError("mixing needs two ab- or two cd-polynomials")
-    _emit(poly_to_dict(result), args.out)
-    return 0
+    return poly_to_dict(result)
 
 
-def _cmd_op_delannoy(args) -> int:
-    _emit(poly_to_dict(delannoy_mixing(args.i, args.j)), args.out)
-    return 0
+def _cmd_op_delannoy(args):
+    return poly_to_dict(delannoy_mixing(args.i, args.j))
 
 
 # -- verify ------------------------------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, seed=args.seed)
-    _emit(report, args.out)
-    return 0 if report["summary"]["failed"] == 0 else 1
+def _cmd_verify(args):
+    return run_suite(args.suite, seed=args.seed)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -406,10 +393,12 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return USAGE_EXIT if code == 2 else code
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        _emit(result, args.out)
     except PosetOpsError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    return 1 if args.command == "verify" and result["summary"]["failed"] else 0
 
 
 if __name__ == "__main__":

@@ -202,8 +202,8 @@ def unit(alphabet: str) -> NCPoly:
     return NCPoly(alphabet, {"": 1})
 
 
-def monomial(alphabet: str, word: str, coeff=1) -> NCPoly:
-    return NCPoly(alphabet, {word: coeff})
+def monomial(alphabet: str, word: str) -> NCPoly:
+    return NCPoly(alphabet, {word: 1})
 
 
 # -- word-wise maps -----------------------------------------------------------

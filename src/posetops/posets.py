@@ -155,12 +155,6 @@ class Poset:
     def less(self, x: str, y: str) -> bool:
         return x != y and self.leq(x, y)
 
-    def minimal_indices(self):
-        return [i for i in range(len(self.labels)) if not self.covers_down[i]]
-
-    def maximal_indices(self):
-        return [i for i in range(len(self.labels)) if not self.covers_up[i]]
-
     def interval_indices(self, i: int, j: int) -> int:
         """Bitmask of the elements between i and j inclusive."""
         return self.up[i] & self.down[j]
@@ -196,8 +190,8 @@ class GradedPoset(Poset):
         """The poset closing routine, then the bounded and graded checks and
         the ranks, in the same topological order."""
         order = super()._close(labels, index, covers_up)
-        mins = self.minimal_indices()
-        maxes = self.maximal_indices()
+        mins = [i for i, below in enumerate(self.covers_down) if not below]
+        maxes = [i for i, above in enumerate(self.covers_up) if not above]
         if len(mins) != 1:
             raise NotBounded(f"{len(mins)} minimal elements, need exactly one")
         if len(maxes) != 1:

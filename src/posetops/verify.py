@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cache
+from functools import cache, partial
 
 from .complexes import (
     F_polynomial,
@@ -75,6 +75,7 @@ from .posets import (
     cube_lattice,
     diamond_product,
     direct_product,
+    generate,
     graded_interval_poset,
     induced_subposet,
     interval_label,
@@ -93,22 +94,27 @@ SIZE_CAP = 200
 # -- the corpus -----------------------------------------------------------------
 
 
+# (family, largest n) of the base families, in corpus order
+_FAMILIES = (("boolean", 4), ("ladder", 4), ("chain", 4), ("cube", 3))
+
+
 def base_families() -> list:
     """The standard graded posets every suite starts from."""
-    named = []
-    for n in range(1, 5):
-        named.append((f"boolean {n}", boolean_lattice(n)))
-    for n in range(1, 5):
-        named.append((f"ladder {n}", ladder_poset(n)))
-    for n in range(1, 5):
-        named.append((f"chain {n}", chain_poset(n)))
-    for n in range(1, 4):
-        named.append((f"cube {n}", cube_lattice(n)))
-    return named
+    return [
+        (f"{kind} {n}", generate(kind, n))
+        for kind, largest in _FAMILIES
+        for n in range(1, largest + 1)
+    ]
 
 
-def random_bounded_subposets(seed: int, count: int = 20) -> list:
-    """Bounded graded subposets of the rank-4 subset lattice.
+def _capped_pairs() -> list:
+    """The pairs of base families whose direct product fits SIZE_CAP."""
+    pairs = itertools.combinations_with_replacement(base_families(), 2)
+    return [(a, b) for a, b in pairs if len(a[1].labels) * len(b[1].labels) <= SIZE_CAP]
+
+
+def random_bounded_subposets(seed: int) -> list:
+    """Twenty bounded graded subposets of the rank-4 subset lattice.
 
     Interior elements are kept independently with probability 0.6; draws
     that break gradedness are rejected and redrawn, so the stream is a
@@ -118,7 +124,7 @@ def random_bounded_subposets(seed: int, count: int = 20) -> list:
     big = boolean_lattice(4)
     interior = [x for x in big.labels if x not in (big.bottom, big.top)]
     out = []
-    for k in range(count):
+    for k in range(20):
         while True:
             keep = [x for x in interior if rng.random() < 0.6]
             try:
@@ -140,50 +146,35 @@ def _corpus(seed: int) -> tuple:
     named = base_families()
     out = list(named)
     out += [(f"dual({name})", P.dual()) for name, P in named]
-    for (na, A), (nb, B) in itertools.combinations_with_replacement(named, 2):
-        if len(A.labels) * len(B.labels) <= SIZE_CAP:
-            out.append((f"{na} x {nb}", direct_product(A, B)))
+    out += [(f"{na} x {nb}", direct_product(A, B)) for (na, A), (nb, B) in _capped_pairs()]
     out += random_bounded_subposets(seed)
     return tuple(out)
 
 
 def interval_ready_corpus(seed: int = 0) -> list:
-    """Corpus members small enough for interval-poset enumeration."""
-    return [
-        (name, P)
-        for name, P in corpus(seed)
-        if P.top_rank <= 5 and len(P.labels) <= SIZE_CAP
-    ]
+    """Corpus members of rank at most 5, small enough for interval-poset
+    enumeration; every member already has at most SIZE_CAP elements."""
+    return [(name, P) for name, P in corpus(seed) if P.top_rank <= 5]
+
+
+_COMPLEX_FACETS = {
+    "a point": [["p"]],
+    "one edge": [["u", "v"]],
+    "a path of two edges": [["u", "v"], ["v", "w"]],
+    "the triangle boundary": [["u", "v"], ["v", "w"], ["u", "w"]],
+    "a solid triangle": [["u", "v", "w"]],
+    "the square boundary": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
+    "two triangles sharing an edge": [["u", "v", "w"], ["v", "w", "x"]],
+    "the hexagon boundary": [[f"v{i}", f"v{(i + 1) % 6}"] for i in range(6)],
+    "a solid tetrahedron": [["a", "b", "c", "d"]],
+}
 
 
 def complex_corpus() -> list:
     """Small named complexes, every one with at most six edges."""
     return [
-        ("a point", SimplicialComplex.from_facets([["p"]])),
-        ("one edge", SimplicialComplex.from_facets([["u", "v"]])),
-        ("a path of two edges", SimplicialComplex.from_facets([["u", "v"], ["v", "w"]])),
-        (
-            "the triangle boundary",
-            SimplicialComplex.from_facets([["u", "v"], ["v", "w"], ["u", "w"]]),
-        ),
-        ("a solid triangle", SimplicialComplex.from_facets([["u", "v", "w"]])),
-        (
-            "the square boundary",
-            SimplicialComplex.from_facets(
-                [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]
-            ),
-        ),
-        (
-            "two triangles sharing an edge",
-            SimplicialComplex.from_facets([["u", "v", "w"], ["v", "w", "x"]]),
-        ),
-        (
-            "the hexagon boundary",
-            SimplicialComplex.from_facets(
-                [[f"v{i}", f"v{(i + 1) % 6}"] for i in range(6)]
-            ),
-        ),
-        ("a solid tetrahedron", SimplicialComplex.from_facets([["a", "b", "c", "d"]])),
+        (name, SimplicialComplex.from_facets(facets))
+        for name, facets in _COMPLEX_FACETS.items()
     ]
 
 
@@ -308,24 +299,20 @@ def mixing_word_cases() -> list:
         for j in range(6 - i):
             for u in cd_words(i):
                 for v in cd_words(j):
-                    pairs.append((u, v))
-    for u, v in pairs:
-        su = u if u else "1"
-        sv = v if v else "1"
+                    pairs.append((u, v, f"({u or '1'}, {v or '1'})"))
+    for u, v, shown in pairs:
         cases.append(
             case(
-                f"mixing of ({su}, {sv}): cd recursion expands to the definition",
+                f"mixing of {shown}: cd recursion expands to the definition",
                 mixing_ab(expand_cd_word(u), expand_cd_word(v)),
                 expand_cd(mixing_cd(monomial(CD, u), monomial(CD, v))),
             )
         )
-    for u, v in pairs:
+    for u, v, shown in pairs:
         if u < v:
-            su = u if u else "1"
-            sv = v if v else "1"
             cases.append(
                 case(
-                    f"mixing is symmetric on ({su}, {sv})",
+                    f"mixing is symmetric on {shown}",
                     mixing_cd(monomial(CD, u), monomial(CD, v)),
                     mixing_cd(monomial(CD, v), monomial(CD, u)),
                 )
@@ -333,22 +320,16 @@ def mixing_word_cases() -> list:
     return cases
 
 
-def mixing_poset_cases(seed: int = 0) -> list:
+def mixing_poset_cases() -> list:
     """Mixing of two ab-indices against the index of the direct product."""
-    cases = []
-    for (na, A), (nb, B) in itertools.combinations_with_replacement(
-        base_families(), 2
-    ):
-        if len(A.labels) * len(B.labels) > SIZE_CAP:
-            continue
-        cases.append(
-            case(
-                f"ab-index of {na} x {nb} is the mixing of the factor indices",
-                ab_index(direct_product(A, B)),
-                mixing_ab(ab_index(A), ab_index(B)),
-            )
+    return [
+        case(
+            f"ab-index of {na} x {nb} is the mixing of the factor indices",
+            ab_index(direct_product(A, B)),
+            mixing_ab(ab_index(A), ab_index(B)),
         )
-    return cases
+        for (na, A), (nb, B) in _capped_pairs()
+    ]
 
 
 def product_interval_map(A: Poset, B: Poset) -> dict:
@@ -367,15 +348,11 @@ def product_interval_map(A: Poset, B: Poset) -> dict:
     return mapping
 
 
-def product_law_cases(seed: int = 0) -> list:
+def product_law_cases() -> list:
     """Interval and second-kind constructions split over direct products,
     each through the map of `product_interval_map`."""
-    small = [
-        ("boolean 1", boolean_lattice(1)),
-        ("boolean 2", boolean_lattice(2)),
-        ("chain 1", chain_poset(1)),
-        ("chain 2", chain_poset(2)),
-    ]
+    factors = ("boolean 1", "boolean 2", "chain 1", "chain 2")
+    small = [(name, P) for name, P in base_families() if name in factors]
     cases = []
     for (na, A), (nb, B) in itertools.combinations_with_replacement(small, 2):
         prod = direct_product(A, B)
@@ -435,6 +412,13 @@ def _ce_words(degree: int, pairs: int) -> list:
     return [w.replace("d", "ee") for w in cd_words(degree) if w.count("d") == pairs]
 
 
+def _ce_pattern(degree: int, coefficient) -> NCPoly:
+    """The ce-polynomial of the given degree whose words with r ee pairs
+    have the coefficient coefficient(r)."""
+    pairs = range(degree // 2 + 1)
+    return NCPoly(CE, {w: coefficient(r) for r in pairs for w in _ce_words(degree, r)})
+
+
 def delannoy_cases() -> list:
     """Path-weighted mixing of c-powers: values, ce coefficients, recurrence."""
     cases = []
@@ -452,21 +436,14 @@ def delannoy_cases() -> list:
                     delannoy_mixing(i, j),
                 )
             )
-    for i in range(6):
-        for j in range(6):
-            length = i + j + 1
-            cases.append(
-                case(
-                    f"ce form of the mixing of c^{i} and c^{j} follows the "
-                    "binomial pattern",
-                    cd_ce_convert(mixed[i, j]),
-                    NCPoly(CE, {
-                        word: delannoy_ce_coefficient(i, j, r)
-                        for r in range(length // 2 + 1)
-                        for word in _ce_words(length, r)
-                    }),
-                )
-            )
+    cases += [
+        case(
+            f"ce form of the mixing of c^{i} and c^{j} follows the binomial pattern",
+            cd_ce_convert(mixed[i, j]),
+            _ce_pattern(i + j + 1, partial(delannoy_ce_coefficient, i, j)),
+        )
+        for i, j in mixed
+    ]
     two_d_minus_cc = NCPoly(CD, {"d": 2, "cc": -1})
     for i in range(5):
         for j in range(5):
@@ -518,11 +495,7 @@ def ladder_cases() -> list:
                 f"ce form of the second-kind transform of c^{n} is a signed "
                 "power pattern",
                 cd_ce_convert(second_kind_cd_transform(monomial(CD, "c" * n))),
-                NCPoly(CE, {
-                    word: ladder_second_kind_ce_coefficient(n, r)
-                    for r in pairs
-                    for word in _ce_words(n, r)
-                }),
+                _ce_pattern(n, partial(ladder_second_kind_ce_coefficient, n)),
             )
         )
         cases.append(
@@ -880,7 +853,7 @@ EIGEN_COUNTS = (2, 4, 7, 11, 16, 22)
 EIGEN_RANKS = (2, 3, 5, 7, 10, 13)
 
 
-def eigen_cases(seed: int = 0) -> list:
+def eigen_cases() -> list:
     """Eigenvalues of the second-kind transform and kernel measurements."""
     cases = []
     boolean_indices = {n: ab_index(boolean_lattice(n)) for n in range(1, 5)}
@@ -964,7 +937,7 @@ SUITES = {
     "jojic-cd": interval_cd_cases,
     "ii": second_kind_corpus_cases,
     "mixing": lambda seed: (
-        mixing_word_cases() + mixing_poset_cases(seed) + product_law_cases(seed)
+        mixing_word_cases() + mixing_poset_cases() + product_law_cases()
     ),
     "delannoy": lambda seed: delannoy_cases(),
     "ladder": lambda seed: ladder_cases(),
@@ -973,7 +946,7 @@ SUITES = {
         triangulation_cases() + interval_complex_cases(seed)
     ),
     "typeb": interval_eulerian_cases,
-    "eigen": eigen_cases,
+    "eigen": lambda seed: eigen_cases(),
 }
 
 

@@ -76,7 +76,7 @@ def test_03_second_kind_routes_agree_on_corpus():
 
 
 def test_04_mixing_operator_consistency():
-    cases = mixing_word_cases() + mixing_poset_cases(0)
+    cases = mixing_word_cases() + mixing_poset_cases()
     report(4, "mixing: cd recursion, symmetry, and product indices", cases)
 
 
@@ -159,7 +159,7 @@ def false_lift_witness_case(n: int, entry: dict) -> dict:
 
 
 def test_11_eigenvectors_kernel_report_and_lift_witnesses():
-    cases = eigen_cases(0)
+    cases = eigen_cases()
     false_claims = {
         f"lift of the boolean {n} index keeps eigenvalue 2^{n}": n for n in (3, 4)
     }
@@ -184,5 +184,5 @@ def test_12_products_distribute_through_interval_constructions():
     report(
         12,
         "interval constructions send direct products to products",
-        product_law_cases(0),
+        product_law_cases(),
     )

@@ -18,7 +18,9 @@ so no call leaves a reference cycle behind.  The
 checks of outside posets and complexes run in their doors only, and the
 values the package derives from checked ones do not pass those doors.
 The command line reuses one parser for every call, so no default in its
-tree is a list, dict or set that one call could fill for the next.
+tree is a list, dict or set that one call could fill for the next.  Its
+handlers return their JSON values and `main` alone writes them, so there is
+one write path and one place where a failed verify report becomes exit 1.
 """
 
 import argparse
@@ -298,6 +300,42 @@ def test_the_mutable_default_check_sees_a_planted_one():
     mixing = op.add_subparsers(dest="which").add_parser("M")
     mixing.add_argument("--in", dest="in_paths", action="append", default=[])
     assert _mutable_defaults(parser) == [("p op", "seen"), ("p op M", "in_paths")]
+
+
+def _emit_readers(text: str) -> list:
+    """Where the source `text` reads the name `_emit`: the dotted path of
+    the innermost enclosing function or class, or "" at module level."""
+    found = []
+    stack = [(ast.parse(text), "")]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            path = f"{path}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id == "_emit":
+                found.append(path)
+        stack += [(child, path) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_main_is_the_only_caller_of_emit():
+    assert _emit_readers(_package_sources()["cli"]) == ["main"]
+
+
+def test_the_emit_check_sees_handlers_that_write():
+    planted = (
+        "def _cmd_verify(args):\n"
+        "    report = run_suite(args.suite, seed=args.seed)\n"
+        "    _emit(report, args.out)\n"
+        "    return 0 if report['summary']['failed'] == 0 else 1\n\n\n"
+        "_ACTIONS = {'dual': lambda args: _emit(args.poset.dual(), args.out)}\n\n\n"
+        "class Handlers:\n"
+        "    write = staticmethod(_emit)\n\n\n"
+        "def main(argv=None):\n"
+        "    args = _parser().parse_args(argv)\n"
+        "    _emit(args.handler(args), args.out)\n"
+    )
+    assert _emit_readers(planted) == ["", "Handlers", "_cmd_verify", "main"]
 
 
 def _dunder(name: str) -> bool:

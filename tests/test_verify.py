@@ -72,6 +72,14 @@ def test_interval_ready_filter():
     )
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_corpus_member_fits_the_size_cap(seed):
+    # products are capped where they are built and no other member comes
+    # near the cap, so interval_ready_corpus filters on rank alone
+    members = corpus(seed)
+    assert [name for name, P in members if len(P.labels) > verify.SIZE_CAP] == []
+
+
 def test_complex_corpus_stays_small():
     named = complex_corpus()
     assert len(named) == 9
@@ -148,7 +156,7 @@ def test_eigen_measurements_fail_when_any_measured_field_is_off(monkeypatch):
         )
         monkeypatch.setattr(verify, "eigen_experiments", lambda max_n: off)
         measured = [
-            c for c in verify.eigen_cases(0)
+            c for c in verify.eigen_cases()
             if isinstance(c["actual"], dict) and "kernel_dim" in c["actual"]
         ]
         assert len(measured) == 6 and not any(c["pass"] for c in measured), field
