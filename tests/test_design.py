@@ -311,9 +311,8 @@ def _emit_readers(text: str) -> list:
         node, path = stack.pop()
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             path = f"{path}.{node.name}".lstrip(".")
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id == "_emit":
-                found.append(path)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "_emit":
+            found.append(path)
         stack += [(child, path) for child in ast.iter_child_nodes(node)]
     return sorted(found)
 

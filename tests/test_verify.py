@@ -76,8 +76,7 @@ def test_interval_ready_filter():
 def test_every_corpus_member_fits_the_size_cap(seed):
     # products are capped where they are built and no other member comes
     # near the cap, so interval_ready_corpus filters on rank alone
-    members = corpus(seed)
-    assert [name for name, P in members if len(P.labels) > verify.SIZE_CAP] == []
+    assert [name for name, P in corpus(seed) if len(P.labels) > verify.SIZE_CAP] == []
 
 
 def test_complex_corpus_stays_small():
