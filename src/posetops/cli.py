@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -55,14 +56,20 @@ USAGE_EXIT = 64
 
 def _emit(data, out_path) -> None:
     """Write the JSON chunk by chunk: the text of a large report is never
-    held whole, nor as a list of its pieces."""
+    held whole, nor as a list of its pieces.  A failed write is refused and
+    its target kept, as it may be a device; a failed stdout is pointed at
+    the null device, or the interpreter's flush at exit fails on it again."""
     try:
         target = open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
+        with target as handle:
+            json.dump(data, handle, ensure_ascii=False, sort_keys=True, indent=2)
+            handle.write("\n")
+            handle.flush()
     except OSError as error:
-        raise PosetOpsError(f"cannot write {out_path}: {error}") from error
-    with target as handle:
-        json.dump(data, handle, ensure_ascii=False, sort_keys=True, indent=2)
-        handle.write("\n")
+        if not out_path:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise PosetOpsError(f"cannot write {out_path or 'stdout'}: {error}") from error
 
 
 def _load_json(path: str):

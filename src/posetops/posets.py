@@ -492,13 +492,6 @@ def second_kind_transform(P: GradedPoset) -> list:
     ]
 
 
-def second_kind_member_product(P: GradedPoset, x: str) -> GradedPoset:
-    """The same member built the other way: dual lower interval times upper."""
-    lower = interval_subposet(P, P.bottom, x).dual()
-    upper = interval_subposet(P, x, P.top)
-    return direct_product(lower, upper)
-
-
 # -- predicates and counts -----------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from functools import cache, partial
 
 from .complexes import (
@@ -66,6 +67,7 @@ from .operators import (
 )
 from .posets import (
     EMPTY_INTERVAL,
+    GradedPoset,
     Poset,
     _bits,
     boolean_lattice,
@@ -80,11 +82,11 @@ from .posets import (
     induced_subposet,
     interval_label,
     interval_poset,
+    interval_subposet,
     is_eulerian,
     is_order_isomorphism,
     ladder_poset,
     pair_label,
-    second_kind_member_product,
     second_kind_transform,
 )
 
@@ -152,9 +154,17 @@ def _corpus(seed: int) -> tuple:
 
 
 def interval_ready_corpus(seed: int = 0) -> list:
-    """Corpus members of rank at most 5, small enough for interval-poset
-    enumeration; every member already has at most SIZE_CAP elements."""
-    return [(name, P) for name, P in corpus(seed) if P.top_rank <= 5]
+    """(name, P, the bottomed interval poset of P) for the corpus members of
+    rank at most 5, small enough for interval-poset enumeration (every member
+    already has at most SIZE_CAP elements); built once per process."""
+    return list(_interval_ready(seed))
+
+
+@cache
+def _interval_ready(seed: int) -> tuple:
+    return tuple(
+        (name, P, graded_interval_poset(P)) for name, P in corpus(seed) if P.top_rank <= 5
+    )
 
 
 _COMPLEX_FACETS = {
@@ -215,16 +225,14 @@ def iota_example_cases() -> list:
         ("ba", {"aab": 1, "aba": 1, "baa": 1, "bab": 2, "bba": 2}),
         ("bb", {"aba": 1, "abb": 4, "bab": 2, "bba": 2, "bbb": 8}),
     ]
-    cases = []
-    for word, terms in frozen:
-        cases.append(
-            case(
-                f"flag-word interval transform of {word}",
-                NCPoly(AB, terms),
-                upsilon_interval_transform(monomial(AB, word)),
-            )
+    return [
+        case(
+            f"flag-word interval transform of {word}",
+            NCPoly(AB, terms),
+            upsilon_interval_transform(monomial(AB, word)),
         )
-    return cases
+        for word, terms in frozen
+    ]
 
 
 def interval_corpus_cases(seed: int, index, transform, index_name: str) -> list:
@@ -235,27 +243,25 @@ def interval_corpus_cases(seed: int, index, transform, index_name: str) -> list:
     return [
         case(
             f"{name}: {index_name} of the bottomed interval poset",
-            index(graded_interval_poset(P)),
+            index(G),
             transform(index(P)),
         )
-        for name, P in interval_ready_corpus(seed)
+        for name, P, G in interval_ready_corpus(seed)
         if index is not cd_index or is_eulerian(P)
     ]
 
 
 def interval_cd_cases(seed: int = 0) -> list:
     """cd-level interval transform against the ab route and raw posets."""
-    cases = []
-    for total in range(5):
-        for word in cd_words(total):
-            shown = word if word else "the empty word"
-            cases.append(
-                case(
-                    f"cd interval transform of {shown} expands to the ab one",
-                    ab_interval_transform(expand_cd_word(word)),
-                    expand_cd(cd_interval_transform(monomial(CD, word))),
-                )
-            )
+    cases = [
+        case(
+            f"cd interval transform of {word or 'the empty word'} expands to the ab one",
+            ab_interval_transform(expand_cd_word(word)),
+            expand_cd(cd_interval_transform(monomial(CD, word))),
+        )
+        for total in range(5)
+        for word in cd_words(total)
+    ]
     return cases + interval_corpus_cases(seed, cd_index, cd_interval_transform, "cd-index")
 
 
@@ -264,22 +270,52 @@ def interval_cd_cases(seed: int = 0) -> list:
 
 def second_kind_corpus_cases(seed: int = 0) -> list:
     """Total ab-index over second-kind members, two poset routes each."""
-    routes = (
-        ("up-sets in the interval poset", lambda P: [m for _, m in second_kind_transform(P)]),
-        (
-            "dual-lower times upper products",
-            lambda P: [second_kind_member_product(P, x) for x in P.labels],
-        ),
-    )
+    members = interval_ready_corpus(seed)
+    product_totals = product_route_totals([P for _, P, _ in members])
     cases = []
-    for name, P in interval_ready_corpus(seed):
+    for (name, P, G), product_total in zip(members, product_totals):
         operator_value = second_kind_ab_transform(ab_index(P))
-        for route, members in routes:
-            total = sum(map(ab_index, members(P)), NCPoly(AB))
+        for route, total in (
+            ("up-sets in the interval poset", upset_route_total(G)),
+            ("dual-lower times upper products", product_total),
+        ):
             cases.append(
                 case(f"{name}: summed member index via {route}", total, operator_value)
             )
     return cases
+
+
+def upset_route_total(G: GradedPoset) -> NCPoly:
+    """The summed ab-index of the second-kind members, read off the bottomed
+    interval poset G.  A chain of G through the atom [x,x] is that atom and a
+    chain of member x one rank up: the members' flag words are those of G
+    that start with b, that b deleted.  Under a -> a-b a leading b stays and
+    a leading a becomes a-b, so reading both letters as 1 gives the sum."""
+    terms = ((word[1:], c) for word, c in ab_index(G).terms.items())
+    return NCPoly._wrap(AB, _accumulate({}, terms))
+
+
+def product_route_totals(members) -> list:
+    """For each P, the summed ab-index of dual([0̂,x]) x [x,1̂] over its x.
+    Factor pairs with equal ranks and down-sets give equal products, so each
+    distinct pair is multiplied and indexed once, weighted by its x."""
+    factors = {}
+    weights = []
+    for P in members:
+        weights.append(Counter())
+        for x in P.labels:
+            lower, upper = interval_subposet(P, P.bottom, x), interval_subposet(P, x, P.top)
+            key = (lower.rank, lower.down, upper.rank, upper.down)
+            factors[key] = lower, upper
+            weights[-1][key] += 1
+    index = {
+        key: ab_index(direct_product(lower.dual(), upper))
+        for key, (lower, upper) in factors.items()
+    }
+    return [
+        sum((index[key].scaled(count) for key, count in weight.items()), NCPoly(AB))
+        for weight in weights
+    ]
 
 
 # -- mixing ------------------------------------------------------------------------
@@ -294,12 +330,10 @@ def mixing_word_cases() -> list:
             mixing_cd(unit(CD), unit(CD)),
         )
     ]
-    pairs = []
-    for i in range(6):
-        for j in range(6 - i):
-            for u in cd_words(i):
-                for v in cd_words(j):
-                    pairs.append((u, v, f"({u or '1'}, {v or '1'})"))
+    pairs = [
+        (u, v, f"({u or '1'}, {v or '1'})")
+        for i in range(6) for j in range(6 - i) for u in cd_words(i) for v in cd_words(j)
+    ]
     for u, v, shown in pairs:
         cases.append(
             case(
@@ -422,13 +456,10 @@ def _ce_pattern(degree: int, coefficient) -> NCPoly:
 def delannoy_cases() -> list:
     """Path-weighted mixing of c-powers: values, ce coefficients, recurrence."""
     cases = []
-    powers = {
-        k: monomial(CD, "c" * k) for k in range(7)
-    }
     mixed = {}
     for i in range(6):
         for j in range(6):
-            mixed[i, j] = mixing_cd(powers[i], powers[j])
+            mixed[i, j] = mixing_cd(monomial(CD, "c" * i), monomial(CD, "c" * j))
             cases.append(
                 case(
                     f"mixing of c^{i} and c^{j} via weighted lattice paths",
@@ -523,19 +554,13 @@ def ladder_cases() -> list:
             )
         )
     ce_totals = {
-        n: cd_ce_convert(
-            second_kind_cd_transform(monomial(CD, "c" * n))
-        ).coefficient_total()
+        n: cd_ce_convert(second_kind_cd_transform(monomial(CD, "c" * n))).coefficient_total()
         for n in range(1, 9)
     }
-    for n, total in ce_totals.items():
-        cases.append(
-            case(
-                f"total ce weight at degree {n} is 2(n+1)",
-                2 * (n + 1),
-                total,
-            )
-        )
+    cases += [
+        case(f"total ce weight at degree {n} is 2(n+1)", 2 * (n + 1), total)
+        for n, total in ce_totals.items()
+    ]
     cases.append(case("total ce weight at degree 4 is 10", 10, ce_totals[4]))
     return cases
 
@@ -600,15 +625,11 @@ def support_count_cases(seed: int = 0) -> list:
     count on the member's own interval poset."""
     cases = [
         case(
-            "rank-1 chain: nested-interval chains over the full support",
-            3,
-            count_chains_with_support(chain_poset(1), ["0", "1"]),
-        ),
-        case(
-            "rank-2 chain: nested-interval chains over the full support",
-            7,
-            count_chains_with_support(chain_poset(2), ["0", "1", "2"]),
-        ),
+            f"rank-{n} chain: nested-interval chains over the full support",
+            count,
+            count_chains_with_support(chain_poset(n), [str(i) for i in range(n + 1)]),
+        )
+        for n, count in ((1, 3), (2, 7))
     ]
     for name, P in corpus(seed):
         I = interval_poset(P)
@@ -657,13 +678,12 @@ def triangulation_cases() -> list:
     """Order independence, face polynomial law, and the summed link law."""
     cases = []
     for name, K in complex_corpus():
-        edges = K.edges()
         reference = tchebyshev_triangulation(K)
         distinct = sorted(edge_order_f_vectors(K))
         cases.append(
             case(
                 f"{name}: one face count across all orders of its "
-                f"{len(edges)} edges",
+                f"{len(K.edges())} edges",
                 [reference.f_vector()],
                 [list(fv) for fv in distinct],
             )
@@ -734,21 +754,19 @@ def order_complex_of_intervals_check(P: Poset) -> bool:
 
 def interval_complex_cases(seed: int = 0) -> list:
     """Order complex of the interval poset equals the edgewise subdivision."""
-    cases = []
-    for name, P in corpus(seed):
-        # The graph check is fast on every member, but the report bytes are
-        # pinned by tests/test_golden.py and perfbench/reference.json, so the
-        # suite keeps the members it has always checked.
-        if len(P.labels) <= 8:
-            cases.append(
-                case(
-                    f"{name}: order complex of the interval poset is the "
-                    "containment-ordered edgewise subdivision",
-                    True,
-                    order_complex_of_intervals_check(P),
-                )
-            )
-    return cases
+    # The graph check is fast on every member, but the report bytes are
+    # pinned by tests/test_golden.py and perfbench/reference.json, so the
+    # suite keeps the members it has always checked.
+    return [
+        case(
+            f"{name}: order complex of the interval poset is the "
+            "containment-ordered edgewise subdivision",
+            True,
+            order_complex_of_intervals_check(P),
+        )
+        for name, P in corpus(seed)
+        if len(P.labels) <= 8
+    ]
 
 
 # -- Eulerian intervals ---------------------------------------------------------------
@@ -779,21 +797,17 @@ def boolean_interval_faces(n: int) -> dict:
 
 def interval_eulerian_cases(seed: int = 0) -> list:
     """Eulerian posets keep Eulerian interval posets; sphere face counts."""
-    cases = []
-    for name, P in interval_ready_corpus(seed):
-        if is_eulerian(P):
-            cases.append(
-                case(
-                    f"{name}: the bottomed interval poset of an Eulerian poset "
-                    "is Eulerian",
-                    True,
-                    is_eulerian(graded_interval_poset(P)),
-                )
-            )
-    for n, row in _SUBSET_INTERVAL_ROWS.items():
-        K = order_complex(
-            graded_interval_poset(boolean_lattice(n)), strip_extremes=True
+    cases = [
+        case(
+            f"{name}: the bottomed interval poset of an Eulerian poset is Eulerian",
+            True,
+            is_eulerian(G),
         )
+        for name, P, G in interval_ready_corpus(seed)
+        if is_eulerian(P)
+    ]
+    for n, row in _SUBSET_INTERVAL_ROWS.items():
+        K = order_complex(graded_interval_poset(boolean_lattice(n)), strip_extremes=True)
         counts = K.f_vector()
         cases.append(
             case(
@@ -802,9 +816,7 @@ def interval_eulerian_cases(seed: int = 0) -> list:
                 counts,
             )
         )
-        reduced_euler = sum(
-            (-1) ** (k - 1) * value for k, value in enumerate(counts)
-        )
+        reduced_euler = sum((-1) ** (k - 1) * value for k, value in enumerate(counts))
         cases.append(
             case(
                 f"reduced Euler characteristic for boolean {n} matches a "

@@ -640,3 +640,67 @@ def test_poset_refuses_malformed_fields(tmp_path, capsys, elements, covers, rank
         encoding="utf-8",
     )
     assert_refused(*run_cli(capsys, ["poset", "dual", "--in", str(poset)]))
+
+
+# -- failed writes -------------------------------------------------------------
+# A write that fails is refused with exit 2 and one error line, and nothing
+# more reaches stderr when the interpreter exits.
+
+
+def buffered_console_script():
+    """The console script with a buffered stdout, whose pending bytes the
+    interpreter flushes once more at exit."""
+    command, env = console_script_command()
+    env = dict(os.environ if env is None else env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return command, env
+
+
+def assert_refused_in_a_process(proc_code, err):
+    assert proc_code == 2, err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1, err
+
+
+needs_dev_full = pytest.mark.skipif(
+    not Path("/dev/full").is_char_device(), reason="no /dev/full device"
+)
+
+
+@needs_dev_full
+def test_a_full_device_given_as_out_is_refused_and_kept(tmp_path):
+    command, env = buffered_console_script()
+    proc = subprocess.run(
+        command + ["poset", "gen", "--kind", "boolean", "--n", "2", "--out", "/dev/full"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert_refused_in_a_process(proc.returncode, proc.stderr)
+    assert proc.stdout == ""
+    assert Path("/dev/full").is_char_device()
+
+
+@needs_dev_full
+def test_a_full_device_as_stdout_is_refused(tmp_path):
+    command, env = buffered_console_script()
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            command + ["poset", "gen", "--kind", "boolean", "--n", "2"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            cwd=tmp_path, env=env,
+        )
+    assert_refused_in_a_process(proc.returncode, proc.stderr)
+
+
+def test_a_pipe_closed_by_the_reader_is_refused(tmp_path):
+    # the ii report is far larger than a pipe buffer, so the writer meets
+    # the closed pipe whatever the timing
+    command, env = buffered_console_script()
+    proc = subprocess.Popen(
+        command + ["verify", "--suite", "ii"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "cases'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert_refused_in_a_process(proc.wait(timeout=300), err)
+    assert "Broken pipe" in err

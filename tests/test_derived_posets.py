@@ -132,7 +132,9 @@ def _once(named):
 
 
 ALL_MEMBERS = _once(m for seed in SEEDS for m in corpus(seed))
-READY_MEMBERS = _once(m for seed in SEEDS for m in interval_ready_corpus(seed))
+READY_MEMBERS = _once(
+    (name, P) for seed in SEEDS for name, P, _ in interval_ready_corpus(seed)
+)
 
 
 def test_dual_matches_the_label_route():

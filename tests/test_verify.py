@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import textwrap
 from fractions import Fraction
 from functools import reduce
 from math import perm
@@ -8,8 +10,16 @@ import pytest
 from posetops import verify
 from posetops.complexes import stellar_subdivide
 from posetops.errors import PosetOpsError
+from posetops.flags import ab_index
 from posetops.ncpoly import AB, NCPoly, X
-from posetops.posets import Poset, chain_poset, count_chains_with_support, interval_poset
+from posetops.posets import (
+    Poset,
+    chain_poset,
+    count_chains_with_support,
+    interval_poset,
+    interval_subposet,
+    second_kind_transform,
+)
 from posetops.verify import (
     SUITES,
     base_families,
@@ -19,9 +29,12 @@ from posetops.verify import (
     corpus,
     edge_order_f_vectors,
     interval_ready_corpus,
+    product_route_totals,
     random_bounded_subposets,
     run_suite,
+    upset_route_total,
 )
+from test_posets import second_kind_member_product
 
 CASE_KEYS = {"description", "expected", "actual", "pass"}
 
@@ -62,7 +75,7 @@ def test_corpus_composition():
 
 
 def test_interval_ready_filter():
-    ready = dict(interval_ready_corpus(0))
+    ready = {name: P for name, P, _ in interval_ready_corpus(0)}
     full = dict(corpus(0))
     assert "boolean 2 x boolean 4" in full
     assert "boolean 2 x boolean 4" not in ready
@@ -211,3 +224,86 @@ def test_pell_suite_fails_every_corpus_case_without_containments(monkeypatch):
     # the corpus cases are the ones that compare lists of counts
     corpus_cases = [c for c in cases if isinstance(c["expected"], list)]
     assert corpus_cases and not any(c["pass"] for c in corpus_cases)
+
+
+# -- the two routes of the ii suite ----------------------------------------------
+
+
+def summed_index(members) -> NCPoly:
+    return sum(map(ab_index, members), NCPoly(AB))
+
+
+def factor_keys(P) -> list:
+    """For each x of P, the ranks and down-sets of [0̂,x] and [x,1̂]."""
+    cuts = [(interval_subposet(P, P.bottom, x), interval_subposet(P, x, P.top)) for x in P.labels]
+    return [(lo.rank, lo.down, up.rank, up.down) for lo, up in cuts]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_upset_route_is_the_summed_index_of_the_built_members(seed):
+    for name, P, G in interval_ready_corpus(seed):
+        members = [m for _, m in second_kind_transform(P)]
+        assert upset_route_total(G) == summed_index(members), name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_product_route_weights_each_distinct_product_by_its_elements(monkeypatch, seed):
+    built = []
+    product = verify.direct_product
+    monkeypatch.setattr(verify, "direct_product", lambda A, B: built.append(1) or product(A, B))
+    ready = [(name, P) for name, P, _ in interval_ready_corpus(seed)]
+    totals = product_route_totals([P for _, P in ready])
+    for (name, P), total in zip(ready, totals, strict=True):
+        members = [second_kind_member_product(P, x) for x in P.labels]
+        assert total == summed_index(members), name
+    distinct = {key for _, P in ready for key in factor_keys(P)}
+    assert len(built) == len(distinct) == {0: 264, 1: 268}[seed]
+
+
+def mutant(monkeypatch, function, old: str, new: str) -> None:
+    """Put into verify a copy of function with `old` in its source read as
+    `new`; the suite then calls the copy."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(vars(verify))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(verify, function.__name__, namespace[function.__name__])
+
+
+def failing(cases, route: str) -> list:
+    return [c["description"] for c in cases if route in c["description"] and not c["pass"]]
+
+
+def test_ii_suite_fails_when_the_upset_route_deletes_the_last_letter(monkeypatch):
+    mutant(monkeypatch, upset_route_total, "word[1:]", "word[:-1]")
+    cases = verify.second_kind_corpus_cases(0)
+    assert len(failing(cases, "via up-sets")) == 90  # of 103
+    assert failing(cases, "via dual-lower") == []
+
+
+def test_ii_suite_fails_when_the_product_route_drops_the_weights(monkeypatch):
+    mutant(monkeypatch, product_route_totals, "scaled(count)", "scaled(1)")
+    cases = verify.second_kind_corpus_cases(0)
+    # the members with two elements whose factor pairs are equal
+    shared = [
+        f"{name}: summed member index via dual-lower times upper products"
+        for name, P, _ in interval_ready_corpus(0)
+        if len(set(factor_keys(P))) < len(P)
+    ]
+    assert shared and failing(cases, "via dual-lower") == shared
+    assert failing(cases, "via up-sets") == []
+
+
+def test_the_suites_build_one_interval_poset_per_ready_member(monkeypatch):
+    built = []
+    build = verify.graded_interval_poset
+    monkeypatch.setattr(verify, "graded_interval_poset", lambda P: built.append(P) or build(P))
+    verify._interval_ready.cache_clear()
+    for suite in ("iota", "jojic-ab", "jojic-cd", "ii", "typeb"):
+        SUITES[suite](0)
+    ready = [P for _, P, _ in interval_ready_corpus(0)]
+    assert len(ready) == 103
+    members = [P for P in built if any(P is Q for Q in ready)]
+    assert sorted(map(id, members)) == sorted(map(id, ready))
+    # the rest are the boolean lattices whose interval posets typeb checks
+    assert len(built) - len(members) == 7
