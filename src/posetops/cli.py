@@ -13,6 +13,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import cache
+from json.encoder import encode_basestring
 
 from .errors import PosetOpsError
 from .flags import (
@@ -62,7 +63,7 @@ def _emit(data, out_path) -> None:
     try:
         target = open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
         with target as handle:
-            json.dump(data, handle, ensure_ascii=False, sort_keys=True, indent=2)
+            _write_json(data, handle.write, "\n")
             handle.write("\n")
             handle.flush()
     except OSError as error:
@@ -70,6 +71,37 @@ def _emit(data, out_path) -> None:
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         raise PosetOpsError(f"cannot write {out_path or 'stdout'}: {error}") from error
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(value, write, newline: str) -> None:
+    """Write value piece by piece as json.dump(value, ..., ensure_ascii=False,
+    sort_keys=True, indent=2) would; newline is "\\n" plus value's indent."""
+    if isinstance(value, str):
+        write(encode_basestring(value))
+    elif value is None or isinstance(value, bool):
+        write("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (int, float)):
+        text = (int if isinstance(value, int) else float).__repr__(value)
+        write(_NON_FINITE.get(text, text))
+    elif isinstance(value, dict):
+        inner, opening = newline + "  ", "{"
+        for key, item in sorted(value.items()):
+            write(opening + inner + encode_basestring(key) + ": ")
+            _write_json(item, write, inner)
+            opening = ","
+        write(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, opening = newline + "  ", "["
+        for item in value:
+            write(opening + inner)
+            _write_json(item, write, inner)
+            opening = ","
+        write(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _load_json(path: str):

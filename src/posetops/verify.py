@@ -657,21 +657,19 @@ def support_count_cases(seed: int = 0) -> list:
 def edge_order_f_vectors(K: SimplicialComplex) -> set:
     """The f-vectors of the subdivisions of K at its edges in every order.
 
-    The orders are walked as a prefix tree: orders that share a prefix share
-    its subdivisions, and every order's full subdivision is still built.
+    The orders are walked one edge at a time over distinct complexes: orders
+    whose prefixes reach equal complexes have equal futures, so each level
+    keeps every distinct complex once.  An original edge stays a face until
+    it is subdivided, so a complex determines the edges it has left.
     """
-    found = set()
-    _walk_edge_orders(K, K.edges(), found)
-    return found
-
-
-def _walk_edge_orders(L: SimplicialComplex, rest: list, found: set) -> None:
-    """Add to found the f-vector of L subdivided at the edges of rest in
-    every order."""
-    if not rest:
-        found.add(tuple(L.f_vector()))
-    for k, edge in enumerate(rest):
-        _walk_edge_orders(stellar_subdivide(L, edge), rest[:k] + rest[k + 1 :], found)
+    level = {K: K.edges()}
+    while any(level.values()):
+        level = {
+            stellar_subdivide(L, edge): rest[:k] + rest[k + 1 :]
+            for L, rest in level.items()
+            for k, edge in enumerate(rest)
+        }
+    return {tuple(L.f_vector()) for L in level}
 
 
 def triangulation_cases() -> list:

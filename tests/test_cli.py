@@ -1,6 +1,8 @@
 import importlib
+import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from posetops.cli import _parser, _split_support, build_parser, main
+from posetops.cli import _parser, _split_support, _write_json, build_parser, main
 from posetops.errors import PosetOpsError, TooLarge
 from posetops.ncpoly import AB, NCPoly, cd_words, to_dict
 from posetops.posets import GradedPoset, chain_poset, pell_number, poset_to_dict
@@ -562,6 +564,96 @@ def test_split_support_honors_brackets():
         _split_support("a,,b")
 
 
+# -- the JSON writer -------------------------------------------------------------
+# json.dump with the CLI's settings is the oracle, byte for byte.
+
+
+def dumped(value):
+    handle = io.StringIO()
+    json.dump(value, handle, ensure_ascii=False, sort_keys=True, indent=2)
+    return handle.getvalue()
+
+
+def written(value):
+    pieces = []
+    _write_json(value, pieces.append, "\n")
+    return "".join(pieces)
+
+
+TEXT = 'ab"\\/\x00\x1f\x7f\n\t é€😀\u2028'
+SCALARS = [True, False, None, 0, 1, -1, -(10**30), 2**64, 1.0, -0.0, 1e16, 0.1, -2.5e-7]
+
+
+def random_text(rng):
+    return "".join(rng.choice(TEXT) for _ in range(rng.randrange(5)))
+
+
+def random_value(rng, depth):
+    """A value nested at most depth deep: at the bottom, and three times in
+    ten above it, text or a scalar; else a dict, list or tuple, empty one
+    time in four."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_text(rng) if rng.random() < 0.4 else rng.choice(SCALARS)
+    size = rng.choice([0, 1, 2, 4])
+    kind = rng.choice(["dict", "list", "tuple"])
+    if kind == "dict":
+        return {random_text(rng): random_value(rng, depth - 1) for _ in range(size)}
+    items = [random_value(rng, depth - 1) for _ in range(size)]
+    return tuple(items) if kind == "tuple" else items
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_writer_writes_the_bytes_of_json_dump(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        value = random_value(rng, rng.randrange(6))
+        assert written(value) == dumped(value), value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [True, 1, False, 0, 1.0, -0.0, 1e16],
+        {"": [[], {}, [{}], {"b": [[[]], ()]}], "é": {"\x00": ""}},
+        [{"actual": 1.0, "expected": 1}, {"actual": -1.0, "expected": -1}],
+        [float("nan"), float("inf"), -float("inf")],
+    ],
+    ids=["scalars", "empties", "float units", "non-finite"],
+)
+def test_the_writer_matches_json_dump_on_chosen_values(value):
+    # the typeb report writes its reduced Euler characteristics as floats;
+    # NaN and the infinities come out as json.dump writes them
+    assert written(value) == dumped(value)
+
+
+@pytest.mark.parametrize(
+    "value", [{1, 2}, [Fraction(1, 2)], {1: "a"}], ids=["set", "Fraction", "int key"]
+)
+def test_the_writer_refuses_what_json_cannot_hold(value):
+    with pytest.raises(TypeError):
+        written(value)
+
+
+def test_a_large_report_is_written_in_small_pieces(monkeypatch):
+    class Recorder:
+        def __init__(self):
+            self.pieces = []
+
+        def write(self, text):
+            self.pieces.append(text)
+
+        def flush(self):
+            pass
+
+    recorder = Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(["verify", "--suite", "delannoy"]) == 0
+    text = "".join(recorder.pieces)
+    assert len(text.encode()) > 500_000
+    assert text == dumped(json.loads(text)) + "\n"
+    assert max(map(len, recorder.pieces)) <= 1024
+
+
 def console_script_command():
     """The `posetops` console script if it is installed; otherwise a fresh
     interpreter that runs the `[project.scripts]` entry point of
@@ -666,28 +758,38 @@ needs_dev_full = pytest.mark.skipif(
 )
 
 
+# a small output fails at the last flush, the delannoy report (525 KB)
+# partway through its writes
+SMALL_AND_LARGE = [
+    ["poset", "gen", "--kind", "boolean", "--n", "2"],
+    ["verify", "--suite", "delannoy"],
+]
+
+
 @needs_dev_full
 def test_a_full_device_given_as_out_is_refused_and_kept(tmp_path):
     command, env = buffered_console_script()
-    proc = subprocess.run(
-        command + ["poset", "gen", "--kind", "boolean", "--n", "2", "--out", "/dev/full"],
-        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
-    )
-    assert_refused_in_a_process(proc.returncode, proc.stderr)
-    assert proc.stdout == ""
-    assert Path("/dev/full").is_char_device()
+    for args in SMALL_AND_LARGE:
+        proc = subprocess.run(
+            command + args + ["--out", "/dev/full"],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+        )
+        assert_refused_in_a_process(proc.returncode, proc.stderr)
+        assert proc.stdout == ""
+        assert Path("/dev/full").is_char_device()
 
 
 @needs_dev_full
 def test_a_full_device_as_stdout_is_refused(tmp_path):
     command, env = buffered_console_script()
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            command + ["poset", "gen", "--kind", "boolean", "--n", "2"],
-            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
-            cwd=tmp_path, env=env,
-        )
-    assert_refused_in_a_process(proc.returncode, proc.stderr)
+    for args in SMALL_AND_LARGE:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                command + args,
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                cwd=tmp_path, env=env,
+            )
+        assert_refused_in_a_process(proc.returncode, proc.stderr)
 
 
 def test_a_pipe_closed_by_the_reader_is_refused(tmp_path):

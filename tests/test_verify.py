@@ -3,12 +3,11 @@ import itertools
 import textwrap
 from fractions import Fraction
 from functools import reduce
-from math import perm
 
 import pytest
 
 from posetops import verify
-from posetops.complexes import stellar_subdivide
+from posetops.complexes import SimplicialComplex, midpoint_label, stellar_subdivide
 from posetops.errors import PosetOpsError
 from posetops.flags import ab_index
 from posetops.ncpoly import AB, NCPoly, X
@@ -174,24 +173,54 @@ def test_eigen_measurements_fail_when_any_measured_field_is_off(monkeypatch):
         assert len(measured) == 6 and not any(c["pass"] for c in measured), field
 
 
-def test_prefix_walk_finds_the_f_vectors_of_every_edge_order(monkeypatch):
-    calls = []
+def f_vectors_by_permutation(K, subdivide):
+    """The oracle: fold subdivide over every order of the edges of K."""
+    return {
+        tuple(reduce(subdivide, order, K).f_vector())
+        for order in itertools.permutations(K.edges())
+    }
+
+
+def test_level_walk_finds_the_f_vectors_of_every_edge_order(monkeypatch):
+    calls = {}
 
     def counted(K, edge):
-        calls.append(edge)
+        calls[name] = calls.get(name, 0) + 1
         return stellar_subdivide(K, edge)
 
     monkeypatch.setattr(verify, "stellar_subdivide", counted)
-    for _, K in complex_corpus():
-        by_permutation = {
-            tuple(reduce(stellar_subdivide, order, K).f_vector())
-            for order in itertools.permutations(K.edges())
-        }
-        calls.clear()
-        assert edge_order_f_vectors(K) == by_permutation
-        # one subdivision per nonempty prefix of an order: 1,956 for six edges
-        m = len(K.edges())
-        assert len(calls) == sum(perm(m, d) for d in range(1, m + 1))
+    for name, K in complex_corpus():
+        assert edge_order_f_vectors(K) == f_vectors_by_permutation(K, stellar_subdivide)
+    # one subdivision per distinct complex and edge left, against the
+    # 1,956 nonempty prefixes of the 720 orders of six edges
+    assert calls["a solid tetrahedron"] == 876
+    assert calls["the hexagon boundary"] == 192
+    assert sum(calls.values()) == 1293
+
+
+def test_level_walk_sees_a_subdivision_that_depends_on_the_order(monkeypatch):
+    # the fault: a midpoint at a, u or v0 loses its faces with older midpoints
+    def faulty(K, edge):
+        L = stellar_subdivide(K, edge)
+        if not {"a", "u", "v0"} & set(edge):
+            return L
+        new = midpoint_label(*edge)
+        return SimplicialComplex(
+            f for f in L.faces
+            if not (new in f and any(x != new and x.startswith("mid(") for x in f))
+        )
+
+    monkeypatch.setattr(verify, "stellar_subdivide", faulty)
+    sizes = {}
+    for name, K in complex_corpus():
+        by_permutation = f_vectors_by_permutation(K, faulty)
+        assert edge_order_f_vectors(K) == by_permutation, name
+        sizes[name] = len(by_permutation)
+    assert {name: n for name, n in sizes.items() if n > 1} == {
+        "a solid triangle": 2,
+        "two triangles sharing an edge": 2,
+        "a solid tetrahedron": 5,
+    }
 
 
 def test_support_chain_recursion_agrees_with_the_closed_form():
