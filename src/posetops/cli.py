@@ -3,6 +3,8 @@
 Output is JSON on stdout (or --out): sorted keys, UTF-8, two-space
 indentation, one trailing newline, so repeated runs are byte-identical.
 Exit codes: 0 success, 1 verification failure, 2 domain error, 64 usage.
+The `op` and `verify` handlers import operators and verify when they run,
+so `poset` and `index` load neither.
 """
 
 from __future__ import annotations
@@ -25,17 +27,6 @@ from .flags import (
     upsilon,
 )
 from .ncpoly import AB, CD, NCPoly, from_dict as poly_from_dict, to_dict as poly_to_dict
-from .operators import (
-    ab_interval_transform,
-    cd_interval_transform,
-    delannoy_mixing,
-    lift,
-    mixing_ab,
-    mixing_cd,
-    pyramid,
-    second_kind_ab_transform,
-    upsilon_interval_transform,
-)
 from .posets import (
     GradedPoset,
     Poset,
@@ -50,9 +41,14 @@ from .posets import (
     poset_to_dict,
     second_kind_transform,
 )
-from .verify import SUITES, run_suite
 
 USAGE_EXIT = 64
+
+# The names of verify.SUITES, in its order, for --suite before verify loads.
+_SUITES = (
+    "iota", "jojic-ab", "jojic-cd", "ii", "mixing", "delannoy", "ladder", "pell",
+    "tcheb-triangulation", "typeb", "eigen",
+)
 
 
 def _emit(data, out_path) -> None:
@@ -188,8 +184,9 @@ def _cmd_poset_gen(args):
     return poset_to_dict(generate(args.kind, args.n))
 
 
-# The dispatch tables below call through this module's names at call time,
-# so a tracer that rebinds those names sees every call.
+# The dispatch tables below call through this module's names, and the op and
+# verify handlers through their module's attributes, at call time, so a
+# tracer that rebinds those names sees every call.
 
 # action -> (help, loader of each input file, result from the loaded posets);
 # the actions taking two posets read --in and --in2.
@@ -269,47 +266,50 @@ def _cmd_index(args):
 # -- op subcommands --------------------------------------------------------------
 
 
-# which -> (help, operator on one polynomial)
+# which -> (help, name of the operator on one polynomial in operators)
 _UNARY_OPS = {
-    "iota": (
-        "interval transform of flag-word polynomials",
-        lambda p: upsilon_interval_transform(p),
-    ),
-    "Iab": ("interval transform of ab-indices", lambda p: ab_interval_transform(p)),
-    "Icd": ("interval transform of cd-indices", lambda p: cd_interval_transform(p)),
-    "IIab": (
-        "second-kind transform of ab-indices",
-        lambda p: second_kind_ab_transform(p),
-    ),
-    "pyr": ("mix with a single point", lambda p: pyramid(p)),
-    "lift": ("multiply by a-b on both sides and add", lambda p: lift(p)),
+    "iota": ("interval transform of flag-word polynomials", "upsilon_interval_transform"),
+    "Iab": ("interval transform of ab-indices", "ab_interval_transform"),
+    "Icd": ("interval transform of cd-indices", "cd_interval_transform"),
+    "IIab": ("second-kind transform of ab-indices", "second_kind_ab_transform"),
+    "pyr": ("mix with a single point", "pyramid"),
+    "lift": ("multiply by a-b on both sides and add", "lift"),
 }
 
 
 def _cmd_op_unary(args):
-    return poly_to_dict(_UNARY_OPS[args.which][1](_load_poly(args.in_path)))
+    from . import operators
+
+    operator = getattr(operators, _UNARY_OPS[args.which][1])
+    return poly_to_dict(operator(_load_poly(args.in_path)))
 
 
 def _cmd_op_mixing(args):
+    from . import operators
+
     p, q = _load_poly(args.in_path), _load_poly(args.in2_path)
     if p.alphabet == AB and q.alphabet == AB:
-        result = mixing_ab(p, q)
+        result = operators.mixing_ab(p, q)
     elif p.alphabet == CD and q.alphabet == CD:
-        result = mixing_cd(p, q)
+        result = operators.mixing_cd(p, q)
     else:
         raise PosetOpsError("mixing needs two ab- or two cd-polynomials")
     return poly_to_dict(result)
 
 
 def _cmd_op_delannoy(args):
-    return poly_to_dict(delannoy_mixing(args.i, args.j))
+    from . import operators
+
+    return poly_to_dict(operators.delannoy_mixing(args.i, args.j))
 
 
 # -- verify ------------------------------------------------------------------------
 
 
 def _cmd_verify(args):
-    return run_suite(args.suite, seed=args.seed)
+    from . import verify
+
+    return verify.run_suite(args.suite, seed=args.seed)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--suite",
         default="all",
-        choices=list(SUITES) + ["all"],
+        choices=[*_SUITES, "all"],
         help="which suite to run",
     )
     verify.add_argument(

@@ -7,7 +7,10 @@ flags) hold plain values, term dicts among them, and declare so in their
 return annotation; none holds an NCPoly.  Every public module-level callable of a layer module
 is a plain function, so a tracer that rebinds the public names from
 outside (as perfbench/layers.py does, wrapping only FunctionType) still
-sees each call.  Every module-level function and class of the library
+sees each call.  The command line loads a layer only when a command runs
+it: `cli` imports operators and verify inside the handlers that call them
+and reads their functions off the module at call time, so such a rebinding
+reaches those calls too.  Every module-level function and class of the library
 modules, private ones included, and every non-dunder method of those
 classes, is used somewhere in the package, so no helper that nothing calls
 grows back.  None of them is named like a method of a builtin type,
@@ -27,13 +30,17 @@ import argparse
 import ast
 import gc
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import FunctionType
 
 import pytest
 
 import posetops
-from posetops import verify
+from posetops import cli, operators, verify
 from posetops.cli import build_parser
 from posetops.complexes import SimplicialComplex, order_complex
 from posetops.flags import ab_index
@@ -491,3 +498,70 @@ def test_derived_posets_and_complexes_skip_the_input_checks(monkeypatch):
     for suite in ("ii", "tcheb-triangulation"):
         assert all(entry["pass"] for entry in SUITES[suite](0)), suite
     assert entered == []
+
+
+# Run in a fresh interpreter: the posetops modules loaded after importing
+# the CLI, then after each call of the argv lists in sys.argv[1], in turn.
+_FOOTPRINT = """
+import io, json, sys
+from contextlib import redirect_stdout
+import posetops.cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "posetops")
+
+steps = [(None, loaded())]
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        code = posetops.cli.main(argv)
+    steps.append((code, loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    calls = [
+        ["index", "cd", "--kind", "boolean", "--n", "3"],
+        ["op", "delannoy", "--i", "2", "--j", "2"],
+        ["verify", "--suite", "ladder"],
+    ]
+    source_root = str(Path(posetops.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert [code for code, _ in steps] == [None, 0, 0, 0]
+    modules = [{name.removeprefix("posetops.") for name in names} for _, names in steps]
+    assert modules[0] == {"posetops", "cli", "errors", "posets", "ncpoly", "flags"}
+    added = [after - before for before, after in zip(modules, modules[1:])]
+    assert added == [set(), {"operators"}, {"verify", "complexes"}]
+
+
+def test_the_cli_reads_operators_and_verify_at_call_time(monkeypatch, capsys):
+    calls = []
+    delannoy_mixing, run_suite = operators.delannoy_mixing, verify.run_suite
+
+    def patched_delannoy(i, j):
+        calls.append(("delannoy_mixing", i, j))
+        return delannoy_mixing(i, j)
+
+    def patched_run_suite(suite, seed=0):
+        calls.append(("run_suite", suite, seed))
+        return run_suite(suite, seed=seed)
+
+    monkeypatch.setattr(operators, "delannoy_mixing", patched_delannoy)
+    monkeypatch.setattr(verify, "run_suite", patched_run_suite)
+    assert cli.main(["op", "delannoy", "--i", "2", "--j", "3"]) == 0
+    assert cli.main(["verify", "--suite", "ladder", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert calls == [("delannoy_mixing", 2, 3), ("run_suite", "ladder", 1)]
+
+
+def test_the_cli_suite_names_are_those_of_verify_in_order():
+    # `verify --help` and the --suite choices list them in this order
+    assert cli._SUITES == tuple(verify.SUITES)

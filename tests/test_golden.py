@@ -3,17 +3,23 @@ list of small CLI calls.
 
 The digests pin the exact JSON the command line prints, so any change in
 coefficient types, term order or the cd elimination that alters a single
-byte fails here.  Regenerate them only for an intended output change:
+byte fails here.  They also pin a few help pages, printed at a fixed
+terminal width of COLUMNS columns.  Regenerate them only for an intended
+output change:
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.print_digests()"
 """
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from posetops.cli import main
+
+# Terminal width argparse wraps the help pages to.
+COLUMNS = "80"
 
 # Polynomial input files, as (alphabet, [(word, num, den), ...]).
 POLYS = {
@@ -92,6 +98,13 @@ CALLS = (
         for action in ("product", "diamond")
     ]
     + [["poset", "product", "--in", "vee", "--in2", "ladder3"]]
+    + [
+        [*command, "--help"]
+        for command in (
+            [], ["verify"], ["op"], ["op", "M"], ["op", "Iab"], ["index"],
+            ["index", "ab"], ["poset", "gen"],
+        )
+    ]
 )
 
 # " ".join(argv) -> (exit code, sha256 of stdout), recorded before the
@@ -168,6 +181,15 @@ DIGESTS = {
     "poset product --in boolean3 --in2 ladder3": (0, "2dd214c4be82d11cd48d88c248b5c47791085a1edeae40b0cd44c7ded3640e5d"),
     "poset diamond --in boolean3 --in2 ladder3": (0, "5bad7bde5835b20600d73ffc5397994493f4f2a560dd0f48438d917c8f7d507d"),
     "poset product --in vee --in2 ladder3": (0, "8cfb207845d365e1d35ffbc79852f1322f0ef12e3b7f623655b266dd4ab1fa9d"),
+    # recorded before the command line loaded operators and verify on first use
+    "--help": (0, "ee9ca43d9520d8ed4f4344078c8a099d555ff75d6c0b41bf1fa995ce2b694204"),
+    "verify --help": (0, "e2740ba0f1b8adb98aea638c6c8b2fc77a6772ac9aec3150f9338ab140f8b02c"),
+    "op --help": (0, "2e4112ba67e59c81634a64fed500d30558491c0f330539fdc04b44a7904d9b92"),
+    "op M --help": (0, "c5e5448f26ec5d8e950551945b9ef3d684dc68d66a44954863ffda2091359857"),
+    "op Iab --help": (0, "a49055677aa7f0db8e45ea52508c0053a146e06ac88d54044c07bac052e6a761"),
+    "index --help": (0, "06f9e530d34308fabc85a363b3ecf1d1fcbf7a1f2677008db848bbd0ea4c279d"),
+    "index ab --help": (0, "67c17e27bbb0042f4563ffbeabd49bb35378b75810ca1629d9c7bc63d0a7cb3f"),
+    "poset gen --help": (0, "c393cee34a9f594577809e882a05be329c7f30c0175220ae4b6b968b078b2534"),
 }
 
 
@@ -203,6 +225,7 @@ def print_digests():
     from io import StringIO
     from pathlib import Path
 
+    os.environ["COLUMNS"] = COLUMNS
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         _write_inputs(directory)
@@ -215,7 +238,8 @@ def print_digests():
 
 
 @pytest.mark.parametrize("argv", CALLS, ids=[" ".join(a) for a in CALLS])
-def test_cli_output_is_byte_identical(argv, tmp_path, capsys):
+def test_cli_output_is_byte_identical(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     _write_inputs(tmp_path)
     code, digest, err = _run(argv, tmp_path, capsys)
     assert (code, digest) == DIGESTS[" ".join(argv)]
