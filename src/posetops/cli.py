@@ -70,11 +70,14 @@ def _emit(data, out_path) -> None:
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_TERM = '{0}{{{0}  "den": {1},{0}  "num": {2},{0}  "word": {3}{0}}}'
+_TERM_TYPES = {"den": int, "num": int, "word": str}
 
 
 def _write_json(value, write, newline: str) -> None:
     """Write value piece by piece as json.dump(value, ..., ensure_ascii=False,
-    sort_keys=True, indent=2) would; newline is "\\n" plus value's indent."""
+    sort_keys=True, indent=2) would; newline is "\\n" plus value's indent.
+    A list item of the _TERM_TYPES, a polynomial term, is one _TERM piece."""
     if isinstance(value, str):
         write(encode_basestring(value))
     elif value is None or isinstance(value, bool):
@@ -92,8 +95,12 @@ def _write_json(value, write, newline: str) -> None:
     elif isinstance(value, (list, tuple)):
         inner, opening = newline + "  ", "["
         for item in value:
-            write(opening + inner)
-            _write_json(item, write, inner)
+            if type(item) is dict and {k: type(v) for k, v in item.items()} == _TERM_TYPES:
+                word = encode_basestring(item["word"])
+                write(opening + _TERM.format(inner, item["den"], item["num"], word))
+            else:
+                write(opening + inner)
+                _write_json(item, write, inner)
             opening = ","
         write(newline + "]" if value else "[]")
     else:

@@ -359,26 +359,34 @@ def _peel(terms: dict, n: int, prefix: str, out: dict) -> None:
     _peel(p2, n - 2, prefix + "d", out)
 
 
-def _ce_image(word: str) -> dict:
-    """A cd-word with k d's under d -> ½cc − ½ee: 2^k ce-words, each with
-    coefficient ±1/2^k, negative for an odd number of ee's.  A d-free word
-    keeps the int coefficient 1."""
+def _ce_image(word: str, pairs: int) -> dict:
+    """A cd-word with k d's under d -> ½cc − ½ee, times 2^pairs: 2^k
+    ce-words, each with the int coefficient ±2^(pairs − k), negative for an
+    odd number of ee's."""
     first, *rest = word.split("d")
-    if not rest:
-        return {word: 1}
-    signed = (Fraction(1, 2 ** len(rest)), Fraction(-1, 2 ** len(rest)))
+    scale = 1 << pairs - len(rest)
     out = {}
-    for pairs in product(("cc", "ee"), repeat=len(rest)):
-        ce = first + "".join(pair + piece for pair, piece in zip(pairs, rest))
-        out[ce] = signed[pairs.count("ee") % 2]
+    for choice in product(("cc", "ee"), repeat=len(rest)):
+        ce = first + "".join(pair + piece for pair, piece in zip(choice, rest))
+        out[ce] = -scale if choice.count("ee") % 2 else scale
     return out
 
 
 def cd_ce_convert(p: NCPoly) -> NCPoly:
-    """Rewrite a cd-polynomial in the ce alphabet using e² = c² − 2d."""
+    """Rewrite a cd-polynomial in the ce alphabet using e² = c² − 2d.  The
+    sums are in integers, times the common denominator D of p and times
+    2^pairs for the most d's in a word of p; each ce-coefficient is divided
+    by D·2^pairs once, and an integral quotient is an int."""
     if p.alphabet != CD:
         raise AlphabetMismatch("conversion to ce expects a cd-polynomial")
-    return _apply_wordwise(p, _ce_image, CE)
+    pairs = max((word.count("d") for word in p.terms), default=0)
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    whole = {w: c.numerator * (scale // c.denominator) for w, c in p.terms.items()}
+    scaled = _apply_wordwise(NCPoly._wrap(CD, whole), lambda w: _ce_image(w, pairs), CE)
+    divisor = scale << pairs
+    for w, c in scaled.terms.items():
+        scaled.terms[w] = c // divisor if c % divisor == 0 else Fraction(c, divisor)
+    return scaled
 
 
 # -- coproducts ---------------------------------------------------------------

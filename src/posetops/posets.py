@@ -496,10 +496,17 @@ def second_kind_transform(P: GradedPoset) -> list:
 
 
 def is_eulerian(P: GradedPoset) -> bool:
-    """Every interval of rank at least one balances even and odd ranks."""
+    """Every interval of rank at least one balances even and odd ranks.
+
+    Only intervals of even length L >= 2 are counted.  If every proper
+    subinterval of [x,y] has mu = (-1)^length, and A sums (-1)^(rank z -
+    rank x) over z in [x,y], the Möbius recursion from the bottom gives
+    mu(x,y) = (-1)^L - A and the one from the top (-1)^L - (-1)^L * A.  So
+    A = (-1)^L * A: by induction on L, odd lengths balance by themselves."""
     even_mask = sum(1 << i for i, r in enumerate(P.rank) if r % 2 == 0)
     for i, above in enumerate(P.up):
-        for j in _bits(above & ~(1 << i)):
+        same = even_mask if P.rank[i] % 2 == 0 else ~even_mask
+        for j in _bits(above & same & ~(1 << i)):
             members = above & P.down[j]
             evens = (members & even_mask).bit_count()
             if 2 * evens != members.bit_count():

@@ -298,24 +298,31 @@ def upset_route_total(G: GradedPoset) -> NCPoly:
 def product_route_totals(members) -> list:
     """For each P, the summed ab-index of dual([0̂,x]) x [x,1̂] over its x.
     Factor pairs with equal ranks and down-sets give equal products, so each
-    distinct pair is multiplied and indexed once, weighted by its x."""
-    factors = {}
-    weights = []
+    distinct pair is multiplied and indexed once, weighted by its x.  A pair
+    is keyed off P's masks and cut out of P only for a key not seen before."""
+    index = {}
+    totals = []
     for P in members:
-        weights.append(Counter())
-        for x in P.labels:
-            lower, upper = interval_subposet(P, P.bottom, x), interval_subposet(P, x, P.top)
-            key = (lower.rank, lower.down, upper.rank, upper.down)
-            factors[key] = lower, upper
-            weights[-1][key] += 1
-    index = {
-        key: ab_index(direct_product(lower.dual(), upper))
-        for key, (lower, upper) in factors.items()
-    }
-    return [
-        sum((index[key].scaled(count) for key, count in weight.items()), NCPoly(AB))
-        for weight in weights
-    ]
+        weight = Counter()
+        for x, label in enumerate(P.labels):
+            key = _order_key(P, P.down[x]), _order_key(P, P.up[x])
+            if key not in index:
+                lower = interval_subposet(P, P.bottom, label)
+                upper = interval_subposet(P, label, P.top)
+                index[key] = ab_index(direct_product(lower.dual(), upper))
+            weight[key] += 1
+        terms = (index[key].scaled(count) for key, count in weight.items())
+        totals.append(sum(terms, NCPoly(AB)))
+    return totals
+
+
+def _order_key(P: GradedPoset, mask: int) -> tuple:
+    """The interval of P on mask, cut out as a poset, up to the numbering of
+    its elements: their lower covers as masks of their positions in mask.
+    The covers fix the down-sets and the ranks, and are fixed by them."""
+    kept = list(_bits(mask))
+    position = {k: 1 << p for p, k in enumerate(kept)}.get
+    return tuple(sum(position(j, 0) for j in P.covers_down[k]) for k in kept)
 
 
 # -- mixing ------------------------------------------------------------------------

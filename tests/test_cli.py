@@ -634,6 +634,48 @@ def test_the_writer_refuses_what_json_cannot_hold(value):
         written(value)
 
 
+TERM = {"den": 3, "num": -(2**70), "word": 'ab"é'}
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [TERM, {"den": 1, "num": 0, "word": ""}],
+        [{**TERM, "num": True}],
+        [{**TERM, "extra": 1}],
+        [{**TERM, "word": 5}],
+        [],
+    ],
+    ids=["terms", "bool num", "extra key", "non-str word", "no terms"],
+)
+def test_the_term_path_writes_the_bytes_of_json_dump(terms):
+    value = {"alphabet": "ab", "terms": terms}
+    assert written(value) == dumped(value)
+
+
+def test_the_term_path_writes_a_5000_digit_numerator_as_json_dump_does():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this CPython writes integers of any length")
+    value = [{**TERM, "num": 10**4999}]
+    for write in (written, dumped):
+        with pytest.raises(ValueError):
+            write(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert written(value) == dumped(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_each_term_is_one_piece():
+    pieces = []
+    _write_json([TERM, TERM, [TERM]], pieces.append, "\n")
+    # three terms, the inner list's indent and its bracket, the outer bracket
+    assert len(pieces) == 6
+    assert pieces[0] == dumped([TERM])[: -len("\n]")]
+
+
 def test_a_large_report_is_written_in_small_pieces(monkeypatch):
     class Recorder:
         def __init__(self):

@@ -317,6 +317,20 @@ def test_returned_values_are_copies_of_the_memo():
     assert ab_index(P) == expected_ab
 
 
+def test_a_mutated_ab_index_leaves_the_next_call_alone():
+    P = direct_product(cube_lattice(2), boolean_lattice(2))
+    expected = _ab_index_by_substitution(_enumerated_flag_vector(P))
+    flags._ab_terms.cache_clear()
+    first = ab_index(P)
+    word = next(iter(first.terms))
+    first.terms[word] += 5
+    first.terms["a" * 4] = -1
+    first.terms.pop(next(iter(expected.terms)))
+    second = ab_index(P)
+    assert flags._ab_terms.cache_info().hits == 1
+    assert second == expected and second.terms is not first.terms
+
+
 def test_relabeled_posets_share_one_memo_entry():
     P = boolean_lattice(3)
     z = [f"z{x}" for x in P.labels]

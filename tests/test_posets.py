@@ -42,9 +42,11 @@ from posetops.verify import (
     SIZE_CAP,
     base_families,
     boolean_interval_faces,
+    corpus,
     interval_ready_corpus,
     product_interval_map,
 )
+from test_flags import _oracle_posets
 
 
 def elbow_poset():
@@ -457,6 +459,43 @@ def test_is_eulerian():
     assert not is_eulerian(chain_poset(4))
     # a chain of rank 1 is vacuously balanced
     assert is_eulerian(chain_poset(1))
+
+
+def eulerian_by_definition(P) -> bool:
+    """Every interval [x,y] with x < y, of odd length as well as even, has as
+    many elements of even rank as of odd rank."""
+    even = sum(1 << z for z in range(len(P)) if P.rank[z] % 2 == 0)
+    for x, above in enumerate(P.up):
+        for y in range(len(P)):
+            if y == x or not above >> y & 1:
+                continue
+            members = above & P.down[y]
+            if 2 * (members & even).bit_count() != members.bit_count():
+                return False
+    return True
+
+
+def one_unbalanced_rank_two_interval() -> GradedPoset:
+    """Rank 3 with four atoms: the coatom t covers all four, u covers a1 and
+    a2, v covers a3 and a4.  Every [atom, 1̂] and [0̂, u], [0̂, v] balance;
+    [0̂, t] has four atoms under one top, and [0̂, 1̂], of odd length, four
+    atoms against three coatoms."""
+    covers = [("0", f"a{i}") for i in range(1, 5)]
+    covers += [(f"a{i}", "t") for i in range(1, 5)]
+    covers += [("a1", "u"), ("a2", "u"), ("a3", "v"), ("a4", "v")]
+    covers += [(c, "1") for c in "tuv"]
+    return GradedPoset(["0", "a1", "a2", "a3", "a4", "t", "u", "v", "1"], covers)
+
+
+def test_is_eulerian_matches_the_all_intervals_definition():
+    posets = [P for seed in (0, 1) for _, P in corpus(seed)]
+    posets += [G for seed in (0, 1) for _, _, G in interval_ready_corpus(seed)]
+    posets += [P for _, P in _oracle_posets()]
+    verdicts = [is_eulerian(P) for P in posets]
+    assert verdicts == [eulerian_by_definition(P) for P in posets]
+    assert 0 < sum(verdicts) < len(verdicts)
+    planted = one_unbalanced_rank_two_interval()
+    assert not is_eulerian(planted) and not eulerian_by_definition(planted)
 
 
 def test_pell_numbers():

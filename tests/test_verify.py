@@ -1,18 +1,20 @@
 import inspect
 import itertools
+import sys
 import textwrap
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
-from posetops import verify
+from posetops import flags, ncpoly, posets, verify
 from posetops.complexes import SimplicialComplex, midpoint_label, stellar_subdivide
 from posetops.errors import PosetOpsError
 from posetops.flags import ab_index
-from posetops.ncpoly import AB, NCPoly, X
+from posetops.ncpoly import AB, CD, NCPoly, X
 from posetops.posets import (
     Poset,
+    boolean_lattice,
     chain_poset,
     count_chains_with_support,
     interval_poset,
@@ -33,7 +35,9 @@ from posetops.verify import (
     run_suite,
     upset_route_total,
 )
-from test_posets import second_kind_member_product
+from test_flags import _enumerated_flag_vector, _oracle_posets
+from test_ncpoly import CE_IMAGES, substitute
+from test_posets import eulerian_by_definition, second_kind_member_product
 
 CASE_KEYS = {"description", "expected", "actual", "pass"}
 
@@ -277,9 +281,10 @@ def test_upset_route_is_the_summed_index_of_the_built_members(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_product_route_weights_each_distinct_product_by_its_elements(monkeypatch, seed):
-    built = []
-    product = verify.direct_product
+    built, cuts = [], []
+    product, cut = verify.direct_product, verify.interval_subposet
     monkeypatch.setattr(verify, "direct_product", lambda A, B: built.append(1) or product(A, B))
+    monkeypatch.setattr(verify, "interval_subposet", lambda *a: cuts.append(1) or cut(*a))
     ready = [(name, P) for name, P, _ in interval_ready_corpus(seed)]
     totals = product_route_totals([P for _, P in ready])
     for (name, P), total in zip(ready, totals, strict=True):
@@ -287,16 +292,32 @@ def test_product_route_weights_each_distinct_product_by_its_elements(monkeypatch
         assert total == summed_index(members), name
     distinct = {key for _, P in ready for key in factor_keys(P)}
     assert len(built) == len(distinct) == {0: 264, 1: 268}[seed]
+    # each distinct pair is cut out once, each of its two factors
+    assert len(cuts) == 2 * len(built) == {0: 528, 1: 536}[seed]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_order_key_tells_apart_exactly_the_cut_subposets(seed):
+    # the key is read off P's masks; the cut subposets' ranks and down-sets
+    # must determine it and be determined by it
+    pairs = {}
+    for _, P, _ in interval_ready_corpus(seed):
+        for x, cut in enumerate(factor_keys(P)):
+            key = verify._order_key(P, P.down[x]), verify._order_key(P, P.up[x])
+            assert pairs.setdefault(key, cut) == cut
+    assert len(set(pairs.values())) == len(pairs)
 
 
 def mutant(monkeypatch, function, old: str, new: str) -> None:
-    """Put into verify a copy of function with `old` in its source read as
-    `new`; the suite then calls the copy."""
+    """Put into function's module a copy of function with `old` in its
+    source read as `new`; callers that look the name up there then call the
+    copy."""
+    module = sys.modules[function.__module__]
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
-    namespace = dict(vars(verify))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(verify, function.__name__, namespace[function.__name__])
+    monkeypatch.setattr(module, function.__name__, namespace[function.__name__])
 
 
 def failing(cases, route: str) -> list:
@@ -321,6 +342,47 @@ def test_ii_suite_fails_when_the_product_route_drops_the_weights(monkeypatch):
     ]
     assert shared and failing(cases, "via dual-lower") == shared
     assert failing(cases, "via up-sets") == []
+
+
+def test_ii_suite_fails_when_the_product_route_keys_the_lower_factor_alone(monkeypatch):
+    key = "key = _order_key(P, P.down[x]), _order_key(P, P.up[x])"
+    mutant(monkeypatch, product_route_totals, key, "key = _order_key(P, P.down[x])")
+    cases = verify.second_kind_corpus_cases(0)
+    assert failing(cases, "via dual-lower") and failing(cases, "via up-sets") == []
+
+
+# -- planted faults in the fast paths, each against its oracle --------------------
+
+
+def test_is_eulerian_with_the_parity_mask_inverted_misjudges_chains(monkeypatch):
+    # the inverted mask counts only the odd lengths, which the chains balance
+    same = "even_mask if P.rank[i] % 2 == 0 else ~even_mask"
+    flipped = "~even_mask if P.rank[i] % 2 == 0 else even_mask"
+    mutant(monkeypatch, posets.is_eulerian, same, flipped)
+    wrong = {
+        name
+        for name, P in _oracle_posets()
+        if posets.is_eulerian(P) != eulerian_by_definition(P)
+    }
+    assert {"chain 3", "chain 5", "chain 7"} <= wrong
+
+
+def test_flag_counts_in_one_byte_lanes_carry_out_of_the_packed_int(monkeypatch):
+    width = "(sum(layer.bit_count().bit_length() for layer in layers) + 8) // 8"
+    mutant(monkeypatch, flags._flag_counts, width, "1")
+    B5, B6 = boolean_lattice(5), boolean_lattice(6)
+    assert flags.flag_f_vector(B5) == _enumerated_flag_vector(B5)  # at most 5! = 120
+    # every chain extends to a maximal one, so the top lane holds the largest
+    # count, here 6! = 720, and its carry leaves the bytes of the lanes
+    with pytest.raises(OverflowError):
+        flags.flag_f_vector(B6)
+
+
+def test_ce_conversion_with_the_divisor_off_by_one_misses_substitution(monkeypatch):
+    mutant(monkeypatch, ncpoly.cd_ce_convert, "scale << pairs", "scale << pairs + 1")
+    for word in ("d", "cdc", "dd"):
+        p = NCPoly(CD, {word: 1})
+        assert ncpoly.cd_ce_convert(p) != substitute(p, CE_IMAGES), word
 
 
 def test_the_suites_build_one_interval_poset_per_ready_member(monkeypatch):
