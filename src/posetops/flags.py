@@ -18,30 +18,29 @@ N^2 * 2^(n - 3) for N elements of rank n, against the number of chains for
 an enumeration (13! maximal chains alone in the boolean lattice of rank
 13).
 
-The ab-index is the flag polynomial under a -> a-b, done one letter
-position at a time by `ncpoly._change_basis`, the one ab <-> flag routine
-of the package: (n - 1) passes over at most 2^(n - 1) words.
+The ab-index is upsilon's terms under a -> a-b, on every call, done one
+letter position at a time by `ncpoly._change_basis`, the one ab <-> flag
+routine of the package: (n - 1) passes over at most 2^(n - 1) words.
 
 The counts read only the order: the ranks P.rank and the down-sets
-P.down, in element numbering, and not the labels.  So they are memoized
-with functools.cache on that pair, one entry per order structure met in
-the process: the counts by `_flag_counts` and the ab-index by `_ab_terms`.
-Relabeled posets, and the routes of a check that number their elements
-alike, share one entry.  The public functions stay plain functions and
-hand out fresh values, so a caller that writes to a result cannot change
-the next one.  The words of the rank masks are kept once per rank, by
-`_mask_words`.
+P.down, in element numbering, and not the labels.  So `_flag_counts`
+memoizes them with functools.cache on that pair, the one memo keyed by
+order structure: relabeled posets, and the routes of a check that number
+their elements alike, share one entry.  The public functions stay plain
+functions and hand out fresh values, so a caller that writes to a result
+cannot change the next one.  The words of the rank masks are kept once
+per rank, by `_mask_words`.
 
 Two caps refuse input that could not finish, with TooLarge: a top rank
 over FLAG_RANK_CAP, since the flag vector of rank n has 2^(n - 1) nonzero
-entries, and more than FLAG_WORK_CAP additions.  The addition count is
-memoized by `_flag_work` on the same pair, but both caps are compared on
-every call, before the counts are read, and so is the rank check of
-`upsilon`; a cap lowered at run time holds for structures already
-counted.  Under CPython 3.11 on a Xeon core, a chain or ladder of rank 16
-takes about a second per index, and the boolean lattice of rank 13, the
-largest that poset generation admits, needs 31,960,110 additions and
-about 1.5 s.
+entries, and more than FLAG_WORK_CAP additions, counted in one pass over
+the up-sets.  Both caps are compared on every call, before the counts are
+read, and so is the rank check of `upsilon`; a cap lowered at run time
+holds for structures already counted.  Under CPython 3.11 on a shared Xeon
+host, whole CLI launches take about 0.15 s for `index ab` on the chain of
+rank 16, 0.3 s for `index cd` on the ladder of rank 16, and 1 s for
+`index ab` on the boolean lattice of rank 13, the largest that poset
+generation admits (31,960,110 additions, 0.8 s of counting).
 """
 
 from functools import cache
@@ -101,30 +100,20 @@ def _layers(rank: tuple) -> list:
 
 
 def flag_f_vector(P: GradedPoset) -> FlagFVector:
-    """Chain counts by rank mask, after both caps; a copy of the memo's."""
+    """Chain counts by rank mask, after both caps; a copy of the memo's.
+    Each interior y adds its 2^(rank(y) - 1) masks once per interior x above
+    it: P.up[y] less y and the top, so the count holds only when P is bounded."""
     n = P.top_rank
     if n > FLAG_RANK_CAP:
         raise TooLarge(f"rank {n} exceeds the flag-vector cap of {FLAG_RANK_CAP}")
-    work = _flag_work(P.rank, P.down)
+    interior = ((y, r) for y, r in enumerate(P.rank) if 0 < r < n)
+    work = sum((P.up[y].bit_count() - 2) << (r - 1) for y, r in interior)
     if work > FLAG_WORK_CAP:
         raise TooLarge(
             f"counting these chains takes {work} additions, "
             f"over the cap of {FLAG_WORK_CAP}"
         )
     return FlagFVector(n, dict(_flag_counts(P.rank, P.down)))
-
-
-@cache
-def _flag_work(rank: tuple, down: tuple) -> int:
-    """The additions of _flag_counts: each y < x brings its 2^(rank(y) - 1)
-    masks."""
-    layers = _layers(rank)
-    return sum(
-        (down[x] & layers[r]).bit_count() << r
-        for top, layer in enumerate(layers)
-        for x in _bits(layer)
-        for r in range(top)
-    )
 
 
 @cache
@@ -170,16 +159,8 @@ def upsilon(P: GradedPoset) -> NCPoly:
 
 
 def ab_index(P: GradedPoset) -> NCPoly:
-    """The flag polynomial under a -> a-b, one letter position at a time,
-    once per order structure; upsilon's checks run on every call."""
-    upsilon(P)
-    return NCPoly._wrap(AB, dict(_ab_terms(P.rank, P.down)))
-
-
-@cache
-def _ab_terms(rank: tuple, down: tuple) -> dict:
-    words = _mask_words(max(rank))
-    return _change_basis({words[m]: c for m, c in _flag_counts(rank, down).items()}, -1)
+    """The flag polynomial under a -> a-b, one letter position at a time."""
+    return NCPoly._wrap(AB, _change_basis(upsilon(P).terms, -1))
 
 
 def cd_index(P: GradedPoset) -> NCPoly:

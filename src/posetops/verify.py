@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from functools import cache, partial
 
 from .complexes import (
@@ -303,14 +302,14 @@ def product_route_totals(members) -> list:
     index = {}
     totals = []
     for P in members:
-        weight = Counter()
+        weight = {}
         for x, label in enumerate(P.labels):
             key = _order_key(P, P.down[x]), _order_key(P, P.up[x])
             if key not in index:
                 lower = interval_subposet(P, P.bottom, label)
                 upper = interval_subposet(P, label, P.top)
                 index[key] = ab_index(direct_product(lower.dual(), upper))
-            weight[key] += 1
+            _accumulate(weight, [(key, 1)])
         terms = (index[key].scaled(count) for key, count in weight.items())
         totals.append(sum(terms, NCPoly(AB)))
     return totals

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -33,6 +34,7 @@ from posetops.ncpoly import (
 )
 from posetops.posets import (
     GradedPoset,
+    _bits,
     boolean_lattice,
     chain_poset,
     crosspolytope_lattice,
@@ -302,6 +304,43 @@ def test_flag_work_cap_admits_every_generated_boolean_lattice(monkeypatch):
         flag_f_vector(B6)
 
 
+def _work_by_pairs(P) -> int:
+    """The additions of the flag count, pair by pair: each interior y below
+    an interior x brings the 2^(rank(y) - 1) rank masks of the chains it
+    tops."""
+    n = P.top_rank
+    interior = {x for x, r in enumerate(P.rank) if 0 < r < n}
+    return sum(
+        1 << (P.rank[y] - 1)
+        for x in interior
+        for y in _bits(P.down[x] & ~(1 << x))
+        if y in interior
+    )
+
+
+def _counted_work(P) -> int:
+    """The addition count flag_f_vector reports when the work cap is below
+    every count."""
+    with pytest.raises(TooLarge) as refused:
+        flags.flag_f_vector(P)
+    return int(re.search(r"takes (\d+) additions", str(refused.value))[1])
+
+
+def _work_posets() -> list:
+    posets = []
+    for name, P in corpus(0):
+        posets += [(name, P), (f"I({name})", graded_interval_poset(P))]
+    posets += [(f"ladder {n}", ladder_poset(n)) for n in range(1, 7)]
+    posets.append(("cube 3 x cube 3", direct_product(cube_lattice(3), cube_lattice(3))))
+    return posets
+
+
+def test_work_count_in_one_pass_equals_the_pair_by_pair_count(monkeypatch):
+    monkeypatch.setattr(flags, "FLAG_WORK_CAP", -1)
+    for name, P in _work_posets():
+        assert _counted_work(P) == _work_by_pairs(P), name
+
+
 # -- the memo keyed by (rank, down) -------------------------------------------------
 
 
@@ -320,14 +359,14 @@ def test_returned_values_are_copies_of_the_memo():
 def test_a_mutated_ab_index_leaves_the_next_call_alone():
     P = direct_product(cube_lattice(2), boolean_lattice(2))
     expected = _ab_index_by_substitution(_enumerated_flag_vector(P))
-    flags._ab_terms.cache_clear()
+    flags._flag_counts.cache_clear()
     first = ab_index(P)
     word = next(iter(first.terms))
     first.terms[word] += 5
     first.terms["a" * 4] = -1
     first.terms.pop(next(iter(expected.terms)))
     second = ab_index(P)
-    assert flags._ab_terms.cache_info().hits == 1
+    assert flags._flag_counts.cache_info().hits == 1
     assert second == expected and second.terms is not first.terms
 
 
@@ -336,11 +375,17 @@ def test_relabeled_posets_share_one_memo_entry():
     z = [f"z{x}" for x in P.labels]
     Q = GradedPoset(z, [(z[i], z[j]) for i, js in enumerate(P.covers_up) for j in js])
     assert (Q.rank, Q.down) == (P.rank, P.down) and Q.labels != P.labels
-    memos = (flags._flag_work, flags._flag_counts)
-    for memo in memos:
+    memos = {
+        name: memo
+        for name, memo in vars(flags).items()
+        if hasattr(memo, "cache_clear") and name != "_mask_words"
+    }
+    assert list(memos) == ["_flag_counts"]
+    for memo in memos.values():
         memo.cache_clear()
-    assert ab_index(P) == ab_index(Q)
-    assert [memo.cache_info().currsize for memo in memos] == [1, 1]
+    for index in (flag_f_vector, upsilon, ab_index, cd_index, ce_index):
+        assert index(P) == index(Q), index.__name__
+    assert sum(memo.cache_info().currsize for memo in memos.values()) == 1
 
 
 def test_rank_cap_runs_before_the_memo(monkeypatch):

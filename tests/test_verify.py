@@ -35,7 +35,13 @@ from posetops.verify import (
     run_suite,
     upset_route_total,
 )
-from test_flags import _enumerated_flag_vector, _oracle_posets
+from test_flags import (
+    _counted_work,
+    _enumerated_flag_vector,
+    _oracle_posets,
+    _work_by_pairs,
+    _work_posets,
+)
 from test_ncpoly import CE_IMAGES, substitute
 from test_posets import eulerian_by_definition, second_kind_member_product
 
@@ -365,6 +371,13 @@ def test_is_eulerian_with_the_parity_mask_inverted_misjudges_chains(monkeypatch)
         if posets.is_eulerian(P) != eulerian_by_definition(P)
     }
     assert {"chain 3", "chain 5", "chain 7"} <= wrong
+
+
+def test_work_count_that_keeps_the_top_in_the_up_sets_is_caught(monkeypatch):
+    monkeypatch.setattr(flags, "FLAG_WORK_CAP", -1)
+    mutant(monkeypatch, flags.flag_f_vector, "bit_count() - 2", "bit_count() - 1")
+    wrong = [name for name, P in _work_posets() if _counted_work(P) != _work_by_pairs(P)]
+    assert "cube 3 x cube 3" in wrong and "ladder 1" in wrong
 
 
 def test_flag_counts_in_one_byte_lanes_carry_out_of_the_packed_int(monkeypatch):
