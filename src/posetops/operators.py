@@ -2,13 +2,17 @@
 operator, the pyramid and lift maps, and the Delannoy path model.
 
 Most operators are defined on monomial words by a recursion and extended
-linearly.  Word-level results are memoized with functools.cache on private
-helpers, because the recursions revisit the same words constantly; the
-public functions check their input and stay plain functions.  Every memo
-holds a term dict (word -> coefficient), never an NCPoly, and hands that
-same dict to every caller, so no caller writes to one.  A product with a
-fixed word adds a prefix or suffix to each key (`_framed`), and every sum
-goes through `ncpoly._accumulate`.
+linearly.  On the cd side, word-level results are memoized with
+functools.cache on private helpers, because the recursions revisit the same
+words constantly; the public functions check their input and stay plain
+functions.  Every memo holds a term dict (word -> coefficient), never an
+NCPoly, and hands that same dict to every caller, so no caller writes to
+one.  The ab side keeps nothing between calls: iota and the quasi-shuffle
+behind mixing each run one pass over the whole polynomial, longest words
+first, in which equal words (or word pairs) merge what they carry, and all
+their state lives in dicts local to the call.  A product with a fixed word
+adds a prefix or suffix to each key (`_framed`), and every sum goes through
+`ncpoly._accumulate`.
 
 The ab-side operators that are simpler on flag counts change basis once
 into flags (a -> a + b) and once back (a -> a - b).  So `op Iab` is iota
@@ -56,30 +60,47 @@ def _framed(terms: dict, suffix: str, scale=1, prefix: str = ""):
 
 # -- the vertex-wise interval transform on flag words ---------------------------
 
-@cache
-def _iota_word(word: str) -> dict:
-    """Raise a flag word of degree m to one of degree m+1 by the recursion
-    that peels the outermost pair of b letters."""
-    if "b" not in word:
-        return {"a" + word: 1, "b" + word: 2}  # (a + 2b)·word
-    first, last = word.index("b"), word.rindex("b")
-    i, j = first, len(word) - 1 - last
-    if first == last:  # (a + 2b)·(a^i b a^j + a^j b a^i) + b a^(i+j+1)
-        both = _accumulate({word: 1}, ((word[::-1], 1),))
-        out = _accumulate({"b" + "a" * (i + j + 1): 1}, _framed(both, "", prefix="a"))
-        return _accumulate(out, _framed(both, "", 2, prefix="b"))
+def _pass_on(states: dict, state, words: dict, head: str = "", tail: str = "") -> None:
+    """Merge head·words·tail into the term dict that state carries."""
+    if state in states:
+        _accumulate(states[state], ((head + w + tail, c) for w, c in words.items()))
+    else:
+        states[state] = {head + w + tail: c for w, c in words.items()}
+
+
+def _iota_terms(terms: dict) -> dict:
+    """Raise flag words of degree m to degree m+1 by the recursion that
+    peels the outermost pair of b letters, over the whole polynomial at once.
+    Each word carries the suffixes that follow it, longest words first: a
+    word with two or more b's hands them on, behind b a^k, to its three inner
+    words, and a word with at most one b writes its closed form before them."""
+    levels = [{} for _ in range(max(map(len, terms), default=0) + 1)]
+    for word, coeff in terms.items():
+        levels[len(word)][word] = {"": coeff}
     out: dict = {}
-    middle = word[first + 1 : last]
-    for inner, k in ((word[:last], j), (word[first + 1 :], i), (middle, i + j + 1)):
-        _accumulate(out, _framed(_iota_word(inner), "b" + "a" * k))
+    while levels:
+        for word, suffixes in levels.pop().items():
+            first, last = word.find("b"), word.rfind("b")
+            if first == last:  # at most one b: a closed form
+                image = {"a" + word: 1, "b" + word: 2}  # (a + 2b)·word
+                if first >= 0:  # one b: (a + 2b)·(word + word*) + b a^|word|
+                    _accumulate(image, (("a" + word[::-1], 1), ("b" + word[::-1], 2)))
+                    image["b" + "a" * len(word)] = 1
+                for x, k in image.items():
+                    _accumulate(out, _framed(suffixes, "", k, prefix=x))
+                continue
+            i, j, middle = first, len(word) - 1 - last, word[first + 1 : last]
+            for inner, k in ((word[:last], j), (word[first + 1 :], i), (middle, i + j + 1)):
+                _pass_on(levels[len(inner)], inner, suffixes, head="b" + "a" * k)
     return out
 
 
-# A dense ab-input of degree 12 takes about 3 s and 200 MB, and each degree
-# more 3x that; a dense cd-input of degree 12 takes 0.08-0.14 s and 25 MB, and
-# one of degree 14 0.6 s and 81 MB (CPython 3.11, one x86-64 core).  The
-# second-kind transform of a dense ab-input takes 3-4.7 s and 297 MB at
-# degree 12, and 12 s and 0.9 GB at 13; of a dense cd-input, 0.3 s at 12.
+# A dense ab-input of degree 12 takes 0.05-0.17 s and 18 MB, and one of
+# degree 13 0.17-0.26 s and 21 MB; a dense cd-input of degree 12 takes
+# 0.08-0.14 s and 25 MB, and one of degree 14 0.6 s and 81 MB.  The
+# second-kind transform of a dense ab-input takes 0.47-0.65 s and 39 MB at
+# degree 12, and 1.2 s and 67 MB at 13; of a dense cd-input, 0.3 s at 12
+# (CPython 3.11, shared 2-vCPU x86-64 host).
 INTERVAL_MAX_DEGREE = 12
 
 
@@ -94,48 +115,44 @@ def upsilon_interval_transform(p: NCPoly) -> NCPoly:
     """Flag polynomial of the bottomed interval poset from that of the
     original poset, term by term."""
     _check_interval_input(p, AB)
-    return _apply_wordwise(p, _iota_word, AB)
+    return NCPoly._wrap(AB, _iota_terms(p.terms))
 
 
 # -- mixing operator -------------------------------------------------------------
 
-@cache
-def _quasi_shuffle(u: str, v: str) -> dict:
-    """Quasi-shuffle of two flag words, each read with a closing b so that
-    every block a^(k-1) b is one part: interleave the blocks, optionally
-    merging the first block of each side into one.  The memo hands its
-    dicts to every caller, and none of them writes to one."""
-    if not u or not v:
-        return {u + v: 1}
-    i, j = u.index("b") + 1, v.index("b") + 1
-    out: dict[str, int] = {}
-    for head, rest in (
-        (u[:i], _quasi_shuffle(u[i:], v)),
-        (v[:j], _quasi_shuffle(u, v[j:])),
-        (u[: i - 1] + "a" + v[:j], _quasi_shuffle(u[i:], v[j:])),
-    ):
-        _accumulate(out, ((head + tail, count) for tail, count in rest.items()))
-    return out
-
-
 def _mix_ab_pairs(pairs: dict) -> NCPoly:
     """Mix weighted pairs of ab-words, keyed "u|v": move every pair to the
-    flag basis (a -> a+b) at once, quasi-shuffle each pair of flag words into
-    one flag-basis total, and move that total back (a -> a-b) once."""
-    flags: dict[str, object] = {}
+    flag basis (a -> a+b) at once, quasi-shuffle all pairs of flag words
+    together, and move the flag-basis total back (a -> a-b) once.  Each flag
+    word is read with a closing b, so every block a^(k-1) b is one part.  A
+    state is a pair of suffixes carrying the prefixes written so far: the
+    first part of either side, or the two merged, goes onto them, and a step
+    that empties a side writes them out, followed by the other side, less the
+    closing b."""
+    levels = [{} for _ in range(max(map(len, pairs), default=0) + 2)]
     for key, coeff in _change_basis(pairs, 1).items():
         u, v = key.split("|")
-        shuffled = _quasi_shuffle(u + "b", v + "b").items()
-        _accumulate(flags, ((word[:-1], coeff * count) for word, count in shuffled))
+        levels[len(key) + 1][u + "b", v + "b"] = {"": coeff}
+    flags: dict = {}
+    while levels:
+        for (x, y), prefixes in levels.pop().items():
+            i, j = x.index("b") + 1, y.index("b") + 1
+            merged = x[: i - 1] + "a" + y[:j]
+            for head, u, v in ((x[:i], x[i:], y), (y[:j], x, y[j:]), (merged, x[i:], y[j:])):
+                if u and v:
+                    _pass_on(levels[len(u) + len(v)], (u, v), prefixes, tail=head)
+                else:
+                    _accumulate(flags, _framed(prefixes, (head + u + v)[:-1]))
     return NCPoly._wrap(AB, _change_basis(flags, -1))
 
 
-# Dense ab-inputs of result degree 13 take 1.3-2.3 s and 196 MB (degrees 6
-# and 6), and at 14 take 5-7 s and 576 MB (7 and 6).  Dense cd-inputs take
+# Dense ab-inputs of result degree 13 take 0.21-0.27 s and 23 MB (degrees 6
+# and 6), and at 14 take 0.46 s and 33 MB (7 and 6).  Dense cd-inputs take
 # 0.05-0.1 s and 23 MB at degrees 6 and 6, 0.4-0.5 s and 69 MB at 7 and 7, and
-# 3.3 s and 371 MB at 8 and 8 (CPython 3.11, one x86-64 core).  A constant
-# argument, as in the pyramid, is capped alike: uncapped, the pyramid of a^20
-# ran past 40 s and 3.7 GB.
+# 3.3 s and 371 MB at 8 and 8 (CPython 3.11, shared 2-vCPU x86-64 host).  A
+# constant argument, as in the pyramid, is capped alike: the pyramid of a^14
+# takes 0.42 s and 38 MB, that of a^16 2.1 s and 113 MB, five times as much
+# per two degrees.
 MIXING_MAX_DEGREE = 13
 
 
@@ -217,8 +234,7 @@ def ab_interval_transform(p: NCPoly) -> NCPoly:
     """Index of the bottomed interval poset from the index of the poset:
     iota between the basis changes a -> a + b and a -> a - b."""
     _check_interval_input(p, AB)
-    flags = _apply_wordwise(NCPoly._wrap(AB, _change_basis(p.terms, 1)), _iota_word, AB)
-    return NCPoly._wrap(AB, _change_basis(flags.terms, -1))
+    return NCPoly._wrap(AB, _change_basis(_iota_terms(_change_basis(p.terms, 1)), -1))
 
 
 @cache

@@ -298,17 +298,21 @@ def product_route_totals(members) -> list:
     """For each P, the summed ab-index of dual([0̂,x]) x [x,1̂] over its x.
     Factor pairs with equal ranks and down-sets give equal products, so each
     distinct pair is multiplied and indexed once, weighted by its x.  A pair
-    is keyed off P's masks and cut out of P only for a key not seen before."""
-    index = {}
+    is keyed off P's masks, and each factor is cut out of P (and a lower one
+    dualized) only for a factor key not seen before."""
+    index, duals, uppers = {}, {}, {}
     totals = []
     for P in members:
         weight = {}
         for x, label in enumerate(P.labels):
-            key = _order_key(P, P.down[x]), _order_key(P, P.up[x])
+            lower, upper = _order_key(P, P.down[x]), _order_key(P, P.up[x])
+            key = lower, upper
             if key not in index:
-                lower = interval_subposet(P, P.bottom, label)
-                upper = interval_subposet(P, label, P.top)
-                index[key] = ab_index(direct_product(lower.dual(), upper))
+                if lower not in duals:
+                    duals[lower] = interval_subposet(P, P.bottom, label).dual()
+                if upper not in uppers:
+                    uppers[upper] = interval_subposet(P, label, P.top)
+                index[key] = ab_index(direct_product(duals[lower], uppers[upper]))
             _accumulate(weight, [(key, 1)])
         terms = (index[key].scaled(count) for key, count in weight.items())
         totals.append(sum(terms, NCPoly(AB)))

@@ -426,6 +426,40 @@ def test_op_pyramid_and_mixing_with_the_unit_admit_result_degree_13(tmp_path, ca
     assert code == 0 and err == "" and mixed == pyr
 
 
+# The child prints its own peak resident size in kB.  It reads VmHWM, which
+# starts afresh at exec; ru_maxrss would also count the launching process
+# when the child is started by vfork.
+PEAK_RSS = (
+    "import sys; from pathlib import Path; from posetops.cli import main; "
+    "code = main(sys.argv[1:]); status = Path('/proc/self/status').read_text(); "
+    "print(status.split('VmHWM:')[1].split()[0], file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+@pytest.mark.parametrize("op, degrees", [("M", (6, 6)), ("Iab", (12,))])
+def test_dense_ab_operators_peak_under_100_mb_in_a_fresh_interpreter(tmp_path, op, degrees):
+    # every ab-word of each degree: op M meets 4,096 word pairs, op Iab 4,096 words
+    argv = ["op", op, "--out", str(tmp_path / "out.json")]
+    for flag, n in zip(("--in", "--in2"), degrees):
+        words = [""]
+        for _ in range(n):
+            words = [w + x for w in words for x in "ab"]
+        path = tmp_path / f"dense{n}{flag}.json"
+        write_poly(path, "ab", [(w, k % 19 - 9 or 1, 1) for k, w in enumerate(words)])
+        argv += [flag, str(path)]
+    source_root = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(source_root)}
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS] + argv,
+        capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+    assert int(proc.stderr) / 1024 < 100
+    assert json.loads((tmp_path / "out.json").read_text())["terms"]
+
+
 @pytest.mark.parametrize(
     "alphabet, letter, n", [("ab", "a", 20), ("ab", "b", 3000), ("cd", "c", 3000)]
 )

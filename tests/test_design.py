@@ -43,7 +43,7 @@ import posetops
 from posetops import cli, operators, verify
 from posetops.cli import build_parser
 from posetops.complexes import SimplicialComplex, order_complex
-from posetops.flags import ab_index
+from posetops.flags import ab_index, upsilon
 from posetops.ncpoly import rewrite_ab_to_cd
 from posetops.posets import Poset, boolean_lattice, graded_interval_poset
 from posetops.verify import SUITES, corpus, edge_order_f_vectors
@@ -247,8 +247,24 @@ def test_the_nested_function_check_sees_planted_ones():
         (rewrite_ab_to_cd, lambda: (ab_index(boolean_lattice(4)),)),
         (edge_order_f_vectors, lambda: (SimplicialComplex.from_facets(["abc"]),)),
         (verify._support_chain_count, lambda: (7,)),
+        (
+            operators.mixing_ab,
+            lambda: (ab_index(boolean_lattice(3)), ab_index(boolean_lattice(2))),
+        ),
+        (operators.upsilon_interval_transform, lambda: (upsilon(boolean_lattice(4)),)),
+        (operators.ab_interval_transform, lambda: (ab_index(boolean_lattice(4)),)),
+        (operators.second_kind_ab_transform, lambda: (ab_index(boolean_lattice(4)),)),
     ],
-    ids=["order_complex", "rewrite_ab_to_cd", "edge_order_f_vectors", "support_chains"],
+    ids=[
+        "order_complex",
+        "rewrite_ab_to_cd",
+        "edge_order_f_vectors",
+        "support_chains",
+        "mixing_ab",
+        "upsilon_interval_transform",
+        "ab_interval_transform",
+        "second_kind_ab_transform",
+    ],
 )
 def test_recursions_leave_no_reference_cycles(recursion, arguments):
     # with the collector off, what a call leaves in cycles is still there to count

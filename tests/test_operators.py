@@ -1,5 +1,7 @@
 import copy
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -23,8 +25,8 @@ from posetops.operators import (
     INTERVAL_MAX_DEGREE,
     _ab_coproduct_word,
     _cd_coproduct_word,
+    _mix_ab_pairs,
     _mixing_cd_words,
-    _quasi_shuffle,
     ab_interval_transform,
     cd_interval_transform,
     ce_word_count,
@@ -51,6 +53,7 @@ from posetops.posets import (
     second_kind_transform,
 )
 from test_ncpoly import substitute
+from test_verify import mutant
 
 
 def ab(terms):
@@ -130,10 +133,20 @@ def closed_word(parts):
     return "".join("a" * (part - 1) + "b" for part in parts)
 
 
+def shuffled(x, y):
+    """The quasi-shuffle of two flag words that end in their closing b,
+    through `_mix_ab_pairs`: the ab-word pair whose flag-basis image is x|y
+    (without the closing b's) is mixed, and the result is read back in the
+    flag basis with its closing b."""
+    pair = ncpoly._change_basis({x[:-1] + "|" + y[:-1]: 1}, -1)
+    flags = ncpoly._change_basis(_mix_ab_pairs(pair).terms, 1)
+    return {word + "b": count for word, count in flags.items()}
+
+
 def test_quasi_shuffle_of_singletons():
-    assert _quasi_shuffle("b", "b") == {"bb": 2, "ab": 1}
-    assert _quasi_shuffle("b", "bb") == {"bbb": 3, "abb": 1, "bab": 1}
-    assert _quasi_shuffle("ab", "bb") == {
+    assert shuffled("b", "b") == {"bb": 2, "ab": 1}
+    assert shuffled("b", "bb") == {"bbb": 3, "abb": 1, "bab": 1}
+    assert shuffled("ab", "bb") == {
         "abbb": 1,
         "babb": 1,
         "bbab": 1,
@@ -143,7 +156,7 @@ def test_quasi_shuffle_of_singletons():
 
 
 def test_quasi_shuffle_square():
-    assert _quasi_shuffle("bb", "bb") == {
+    assert shuffled("bb", "bb") == {
         "bbbb": 6,
         "abbb": 2,
         "babb": 2,
@@ -160,16 +173,18 @@ def test_quasi_shuffle_square():
 
 
 def test_word_quasi_shuffle_matches_the_composition_quasi_shuffle():
+    # a flag word with its closing b is a nonempty composition; the states
+    # with an empty side are reached inside every pair
     assert [len(compositions(m)) for m in range(5)] == [1, 1, 2, 4, 8]
     for total in range(11):
-        for m in range(total + 1):
+        for m in range(1, total):
             for alpha in compositions(m):
                 for beta in compositions(total - m):
                     expected = {
                         closed_word(parts): count
                         for parts, count in quasi_shuffle(alpha, beta).items()
                     }
-                    got = _quasi_shuffle(closed_word(alpha), closed_word(beta))
+                    got = shuffled(closed_word(alpha), closed_word(beta))
                     assert got == expected, (alpha, beta)
 
 
@@ -963,6 +978,87 @@ def test_delannoy_matches_the_lattice_products():
             assert delannoy_mixing(i, j) == delannoy_by_lattice_products(i, j), (i, j)
 
 
+def dense_ab(rng, n, den=1):
+    return ab({w: Fraction(rng.randint(-9, 9) or 1, den) for w in ab_words(n)})
+
+
+@cache
+def flag_image(word):
+    return substitute(monomial(AB, word), TO_FLAGS).terms
+
+
+def mixing_by_flag_pairs(pairs):
+    """Mixing of weighted ab-word pairs {(u, v): coefficient} summed over
+    pairs of flag words: each word is substituted into the flag basis, each
+    pair of flag words is quasi-shuffled as compositions on its own, and the
+    flag-basis sum is substituted back once."""
+    flags = {}
+    for (u, v), coeff in pairs.items():
+        for x, cx in flag_image(u).items():
+            for y, cy in flag_image(v).items():
+                flags[x, y] = flags.get((x, y), 0) + coeff * cx * cy
+    total = {}
+    for (x, y), coeff in flags.items():
+        for parts, count in quasi_shuffle(composition(x), composition(y)).items():
+            word = composition_word(parts)
+            total[word] = total.get(word, 0) + coeff * count
+    return substitute(ab(total), FROM_FLAGS)
+
+
+@cache
+def dense_ab_cases():
+    """Dense inputs, in which many words meet in one state of the one-pass
+    ab routes, each with an oracle that takes one word, or one pair of flag
+    words, at a time: (name, route, expected)."""
+    rng = random.Random(2010)
+    p10, p8 = dense_ab(rng, 10), dense_ab(rng, 8, 3)
+    p4, q4 = dense_ab(rng, 4), dense_ab(rng, 4, 2)
+    pairs = {(u, v): cu * cv for u, cu in p4.terms.items() for v, cv in q4.terms.items()}
+    coproducts = {}
+    for word, coeff in p8.terms.items():
+        for k in range(len(word)):
+            key = word[:k][::-1], word[k + 1 :]
+            coproducts[key] = coproducts.get(key, 0) + coeff
+    return [
+        ("iota 10", lambda: upsilon_interval_transform(p10), by_words(p10, iota_by_products)),
+        ("mixing 4, 4", lambda: mixing_ab(p4, q4), mixing_by_flag_pairs(pairs)),
+        (
+            "second kind 8",
+            lambda: second_kind_ab_transform(p8),
+            p8 + p8.star() + mixing_by_flag_pairs(coproducts),
+        ),
+    ]
+
+
+def test_one_pass_ab_routes_match_the_summed_word_oracles_on_dense_polys():
+    for name, route, expected in dense_ab_cases():
+        assert route() == expected, name
+
+
+def test_one_pass_ab_routes_that_replace_a_carried_dict_are_caught(monkeypatch):
+    # a state reached from two words must merge what both carry into it
+    mutant(monkeypatch, operators._pass_on, "if state in states", "if False")
+    for name, route, expected in dense_ab_cases():
+        assert route() != expected, name
+
+
+def test_ab_operators_give_back_their_memory_once_their_results_are_dropped():
+    # no ab-side memo outlives a call, so nothing the calls made stays behind
+    rng = random.Random(1996)
+    p, q, r = dense_ab(rng, 5), dense_ab(rng, 5), dense_ab(rng, 10)
+    ab_interval_transform(mixing_ab(unit(AB), unit(AB)))  # any lazy set-up happens here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert len(mixing_ab(p, q).terms) > 1000
+        assert len(ab_interval_transform(r).terms) > 1000
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - start < 64 * 1024
+    finally:
+        tracemalloc.stop()
+
+
 def test_memo_values_are_not_written_by_their_callers(monkeypatch):
     # Every memo hands its values to all callers, so a caller that writes to
     # one corrupts the next reader.  Clear the memos, record the keys they
@@ -985,12 +1081,11 @@ def test_memo_values_are_not_written_by_their_callers(monkeypatch):
     rng = random.Random(18)
     cd_interval_transform(dense_cd(rng, 10))
     mixing_cd(dense_cd(rng, 6), dense_cd(rng, 5))
-    upsilon_interval_transform(ab({w: rng.randint(1, 9) for w in ab_words(9)}))
     delannoy_mixing(7, 6)
     expand_cd(dense_cd(rng, 9))
     cd_ce_convert(dense_cd(rng, 9))
     warmed = {memo.__name__ for memo, _ in keys}
-    assert {"_iota_word", "_mixing_cd_words", "_cd_interval_word"} <= warmed
+    assert {"_mixing_cd_words", "_cd_interval_word"} <= warmed
     assert {"_cd_coproduct_word", "_expand_cd_word"} <= warmed
     snapshots = {(memo, args): copy.deepcopy(memo(*args)) for memo, args in keys}
     assert not any(isinstance(value, NCPoly) for value in snapshots.values())
