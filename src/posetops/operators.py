@@ -2,24 +2,23 @@
 operator, the pyramid and lift maps, and the Delannoy path model.
 
 Most operators are defined on monomial words by a recursion and extended
-linearly.  On the cd side, word-level results are memoized with
-functools.cache on private helpers, because the recursions revisit the same
-words constantly; the public functions check their input and stay plain
-functions.  Every memo holds a term dict (word -> coefficient), never an
-NCPoly, and hands that same dict to every caller, so no caller writes to
-one.  The ab side keeps nothing between calls: iota and the quasi-shuffle
-behind mixing each run one pass over the whole polynomial, longest words
-first, in which equal words (or word pairs) merge what they carry, and all
-their state lives in dicts local to the call.  A product with a fixed word
+linearly.  The interval transforms keep nothing between calls: iota, the cd
+recursion on the last letter and the quasi-shuffle behind ab mixing each run
+one pass over the whole polynomial, heaviest words first, in which equal
+words (or word pairs) merge what they carry (`_pass_on`); the tests keep the
+per-word recursions as oracles.  The cd mixing recursion, which also gives
+the pyramids the cd pass reads, is memoized with functools.cache on a
+private helper; the public functions stay plain functions.  Every memo holds
+a term dict (word -> coefficient), never an NCPoly, and hands that same dict
+to every caller, so no caller writes to one.  A product with a fixed word
 adds a prefix or suffix to each key (`_framed`), and every sum goes through
 `ncpoly._accumulate`.
 
 The ab-side operators that are simpler on flag counts change basis once
 into flags (a -> a + b) and once back (a -> a - b).  So `op Iab` is iota
-(`op iota`) between the two basis changes; the tests keep the per-word ab
-recursion as its oracle.  All three interval transforms (`op iota`, `op Iab`
-and `op Icd`) and both second-kind transforms (`op IIab` and the
-library's `second_kind_cd_transform`) refuse degrees over
+(`op iota`) between the two basis changes.  All three interval transforms
+(`op iota`, `op Iab` and `op Icd`) and both second-kind transforms (`op
+IIab` and the library's `second_kind_cd_transform`) refuse degrees over
 INTERVAL_MAX_DEGREE; `op M` and `op pyr` refuse result degrees over
 MIXING_MAX_DEGREE.
 """
@@ -42,6 +41,7 @@ from .ncpoly import (
     matrix_rank,
     monomial,
     unit,
+    word_degree,
 )
 
 _A_MINUS_B = NCPoly(AB, {"a": 1, "b": -1})
@@ -60,12 +60,12 @@ def _framed(terms: dict, suffix: str, scale=1, prefix: str = ""):
 
 # -- the vertex-wise interval transform on flag words ---------------------------
 
-def _pass_on(states: dict, state, words: dict, head: str = "", tail: str = "") -> None:
-    """Merge head·words·tail into the term dict that state carries."""
+def _pass_on(states: dict, state, words: dict, head: str = "", tail: str = "", scale=1) -> None:
+    """Merge scale·head·words·tail into the term dict that state carries."""
     if state in states:
-        _accumulate(states[state], ((head + w + tail, c) for w, c in words.items()))
+        _accumulate(states[state], _framed(words, tail, scale, head))
     else:
-        states[state] = {head + w + tail: c for w, c in words.items()}
+        states[state] = dict(_framed(words, tail, scale, head))
 
 
 def _iota_terms(terms: dict) -> dict:
@@ -97,7 +97,7 @@ def _iota_terms(terms: dict) -> dict:
 
 # A dense ab-input of degree 12 takes 0.05-0.17 s and 18 MB, and one of
 # degree 13 0.17-0.26 s and 21 MB; a dense cd-input of degree 12 takes
-# 0.08-0.14 s and 25 MB, and one of degree 14 0.6 s and 81 MB.  The
+# 0.04 s and 16 MB, and one of degree 14 0.14 s and 18 MB.  The
 # second-kind transform of a dense ab-input takes 0.47-0.65 s and 39 MB at
 # degree 12, and 1.2 s and 67 MB at 13; of a dense cd-input, 0.3 s at 12
 # (CPython 3.11, shared 2-vCPU x86-64 host).
@@ -237,32 +237,41 @@ def ab_interval_transform(p: NCPoly) -> NCPoly:
     return NCPoly._wrap(AB, _change_basis(_iota_terms(_change_basis(p.terms, 1)), -1))
 
 
-@cache
-def _cd_interval_word(word: str) -> dict:
-    if not word:
-        return {"c": 1}
-    u, last = word[:-1], word[-1]
-    u_star = u[::-1]
-    coproduct = _cd_coproduct_word(u).items()
-    if last == "c":
-        out = _accumulate({"d" + u_star: 2}, _framed(_cd_interval_word(u), "c"))
-        for (u1, u2), coeff in coproduct:
-            _accumulate(out, _framed(_cd_interval_word(u2), "d" + u1[::-1], coeff))
-        return out
-    out = _accumulate(
-        dict(_framed(_cd_interval_word(u), "d")),
-        (("dc" + u_star, 1), ("cd" + u_star, 1), ("d" + u_star + "c", 1)),
-    )
-    for (u1, u2), coeff in coproduct:
-        _accumulate(out, (("d" + u2[::-1] + "d" + u1[::-1], coeff),))
-        for x, k in _mixing_cd_words("", u1[::-1]).items():  # the pyramid of u1*
-            _accumulate(out, _framed(_cd_interval_word(u2), "d" + x, coeff * k))
-    return out
+def _cd_interval_terms(terms: dict) -> dict:
+    """The cd interval transform by the recursion on the last letter, over the
+    whole polynomial at once, heaviest words first (d weighs 2): each word
+    writes its own terms before the suffixes it carries and hands them on to
+    the word before its last letter and the right words of that word's coproduct."""
+    levels = [{} for _ in range(max((word_degree(CD, w) for w in terms), default=0) + 1)]
+    for word, coeff in terms.items():
+        levels[word_degree(CD, word)][word] = {"": coeff}
+    out: dict = {}
+    while len(levels) > 1:
+        for word, suffixes in levels.pop().items():
+            u, last = word[:-1], word[-1]
+            u_star = u[::-1]
+            _pass_on(levels[word_degree(CD, u)], u, suffixes, head=last)
+            if last == "c":
+                image = {"d" + u_star: 2}
+            else:
+                image = {"dc" + u_star: 1, "cd" + u_star: 1}
+                _accumulate(image, (("d" + u_star + "c", 1),))
+            for (u1, u2), coeff in _cd_coproduct_word(u).items():
+                inner, u1_star = levels[word_degree(CD, u2)], u1[::-1]
+                if last == "c":
+                    _pass_on(inner, u2, suffixes, "d" + u1_star, scale=coeff)
+                    continue
+                _accumulate(image, (("d" + u2[::-1] + "d" + u1_star, coeff),))
+                for x, k in _mixing_cd_words("", u1_star).items():  # the pyramid of u1*
+                    _pass_on(inner, u2, suffixes, "d" + x, scale=coeff * k)
+            for x, k in image.items():
+                _accumulate(out, _framed(suffixes, "", k, prefix=x))
+    return _accumulate(out, _framed(levels[0].get("", {}), "", prefix="c"))  # the empty word
 
 
 def cd_interval_transform(p: NCPoly) -> NCPoly:
     _check_interval_input(p, CD)
-    return _apply_wordwise(p, _cd_interval_word, CD)
+    return NCPoly._wrap(CD, _cd_interval_terms(p.terms))
 
 
 # -- second-kind transforms ------------------------------------------------------

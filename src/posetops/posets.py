@@ -10,12 +10,12 @@ masks and the refusal of cycles; for a GradedPoset also the bounded and
 graded checks and the ranks, in the same order.  The label constructor,
 the door of the generators, `induced_subposet` and poset files, parses
 (lo, hi) label pairs into index covers and after closing refuses a cover
-implied by a longer path (in a GradedPoset the graded check refuses it
-first).  Duals, products and intervals hand the index covers of a checked
-poset, which imply none of each other, to `Poset._from_covers`.  A
-second-kind member is no construction of its own: member x is the upper
-interval [[x,x], [0̂,1̂]] of the bottomed interval poset, cut out by
-`interval_subposet`.
+implied by a longer path; a GradedPoset skips that scan, because such a
+cover skips a rank and its graded check has refused it.  Duals, products
+and intervals hand the index covers of a checked poset, which imply none of
+each other, to `Poset._from_covers`.  A second-kind member is no
+construction of its own: member x is the upper interval [[x,x], [0̂,1̂]] of
+the bottomed interval poset, cut out by `interval_subposet`.
 
 Derived posets are counted from the masks before they are built (the
 intervals of P number the sum of |up[x]|, a product |P|·|Q|, and all
@@ -71,6 +71,8 @@ class Poset:
             seen.add((i, j))
             covers_up[i].append(j)
         self._close(labels, index, covers_up)
+        if isinstance(self, GradedPoset):
+            return  # _close has refused any implied cover, as one that skips a rank
         # A cover i < j is implied when another upper cover of i lies below j.
         for i, js in enumerate(self.covers_up):
             cover_mask = sum(1 << j for j in js)

@@ -166,6 +166,11 @@ def _interval_ready(seed: int) -> tuple:
     )
 
 
+@cache
+def _eulerian_ready(seed: int) -> tuple:
+    return tuple(member for member in _interval_ready(seed) if is_eulerian(member[1]))
+
+
 _COMPLEX_FACETS = {
     "a point": [["p"]],
     "one edge": [["u", "v"]],
@@ -245,8 +250,7 @@ def interval_corpus_cases(seed: int, index, transform, index_name: str) -> list:
             index(G),
             transform(index(P)),
         )
-        for name, P, G in interval_ready_corpus(seed)
-        if index is not cd_index or is_eulerian(P)
+        for name, P, G in (_eulerian_ready if index is cd_index else _interval_ready)(seed)
     ]
 
 
@@ -811,8 +815,7 @@ def interval_eulerian_cases(seed: int = 0) -> list:
             True,
             is_eulerian(G),
         )
-        for name, P, G in interval_ready_corpus(seed)
-        if is_eulerian(P)
+        for name, _, G in _eulerian_ready(seed)
     ]
     for n, row in _SUBSET_INTERVAL_ROWS.items():
         K = order_complex(graded_interval_poset(boolean_lattice(n)), strip_extremes=True)

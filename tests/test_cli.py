@@ -437,6 +437,18 @@ PEAK_RSS = (
 )
 
 
+def peak_kb(tmp_path, argv) -> int:
+    """The peak resident size in kB of `posetops argv` in a fresh interpreter."""
+    source_root = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(source_root)}
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS] + argv,
+        capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+    return int(proc.stderr)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 @pytest.mark.parametrize("op, degrees", [("M", (6, 6)), ("Iab", (12,))])
 def test_dense_ab_operators_peak_under_100_mb_in_a_fresh_interpreter(tmp_path, op, degrees):
@@ -449,15 +461,21 @@ def test_dense_ab_operators_peak_under_100_mb_in_a_fresh_interpreter(tmp_path, o
         path = tmp_path / f"dense{n}{flag}.json"
         write_poly(path, "ab", [(w, k % 19 - 9 or 1, 1) for k, w in enumerate(words)])
         argv += [flag, str(path)]
-    source_root = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(source_root)}
-    proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS] + argv,
-        capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env,
-    )
-    assert proc.returncode == 0 and proc.stdout == "", proc.stderr
-    assert int(proc.stderr) / 1024 < 100
+    assert peak_kb(tmp_path, argv) / 1024 < 100
     assert json.loads((tmp_path / "out.json").read_text())["terms"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_op_icd_on_a_dense_degree_12_file_peaks_under_3_mb_over_a_degree_1_call(tmp_path):
+    # no memo is keyed by the input's 233 words, so only the one pass's own
+    # dicts and the pyramids of the words' prefixes add to the peak
+    peaks = []
+    for n in (1, 12):
+        path, out = tmp_path / f"dense{n}.json", tmp_path / f"out{n}.json"
+        write_poly(path, "cd", [(w, k % 19 - 9 or 1, 1) for k, w in enumerate(cd_words(n))])
+        peaks.append(peak_kb(tmp_path, ["op", "Icd", "--in", str(path), "--out", str(out)]))
+        assert json.loads(out.read_text())["terms"]
+    assert (peaks[1] - peaks[0]) / 1024 < 3, peaks
 
 
 @pytest.mark.parametrize(

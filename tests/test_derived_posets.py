@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from posetops.errors import PosetOpsError
+from posetops.errors import NotGraded, PosetOpsError
 from posetops.posets import (
     EMPTY_INTERVAL,
     GradedPoset,
@@ -246,3 +246,26 @@ def test_implied_cover_check_names_the_same_cover_as_the_pairwise_scan():
             f"cover {expected!r} is implied by a longer path and must not be listed"
         )
     assert named > 100
+
+
+def test_graded_posets_with_a_planted_implied_cover_are_refused_as_ungraded():
+    # a GradedPoset skips the implied-cover scan: the cover planted between
+    # two comparable elements two or more ranks apart skips a rank, and the
+    # graded check refuses it; a plain Poset names it as implied
+    rng = random.Random(30)
+    members = [P for _, P in corpus(0) if P.top_rank >= 2]
+    planted = 0
+    for _ in range(200):
+        P = rng.choice(members)
+        x = rng.randrange(len(P))
+        above = [y for y in range(len(P)) if P.up[x] >> y & 1 and P.rank[y] >= P.rank[x] + 2]
+        if not above:
+            continue
+        planted += 1
+        covers = P.cover_pairs()
+        covers.insert(rng.randrange(len(covers) + 1), (P.labels[x], P.labels[rng.choice(above)]))
+        with pytest.raises(NotGraded, match="skips a rank"):
+            GradedPoset(P.labels, covers)
+        with pytest.raises(PosetOpsError, match="is implied by a longer path"):
+            Poset(P.labels, covers)
+    assert planted > 100

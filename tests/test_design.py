@@ -43,7 +43,7 @@ import posetops
 from posetops import cli, operators, verify
 from posetops.cli import build_parser
 from posetops.complexes import SimplicialComplex, order_complex
-from posetops.flags import ab_index, upsilon
+from posetops.flags import ab_index, cd_index, upsilon
 from posetops.ncpoly import rewrite_ab_to_cd
 from posetops.posets import Poset, boolean_lattice, graded_interval_poset
 from posetops.verify import SUITES, corpus, edge_order_f_vectors
@@ -254,6 +254,7 @@ def test_the_nested_function_check_sees_planted_ones():
         (operators.upsilon_interval_transform, lambda: (upsilon(boolean_lattice(4)),)),
         (operators.ab_interval_transform, lambda: (ab_index(boolean_lattice(4)),)),
         (operators.second_kind_ab_transform, lambda: (ab_index(boolean_lattice(4)),)),
+        (operators.cd_interval_transform, lambda: (cd_index(boolean_lattice(4)),)),
     ],
     ids=[
         "order_complex",
@@ -264,6 +265,7 @@ def test_the_nested_function_check_sees_planted_ones():
         "upsilon_interval_transform",
         "ab_interval_transform",
         "second_kind_ab_transform",
+        "cd_interval_transform",
     ],
 )
 def test_recursions_leave_no_reference_cycles(recursion, arguments):

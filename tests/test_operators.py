@@ -14,6 +14,7 @@ from posetops.ncpoly import (
     AB,
     CD,
     NCPoly,
+    _accumulate,
     ab_words,
     cd_ce_convert,
     cd_words,
@@ -25,6 +26,7 @@ from posetops.operators import (
     INTERVAL_MAX_DEGREE,
     _ab_coproduct_word,
     _cd_coproduct_word,
+    _framed,
     _mix_ab_pairs,
     _mixing_cd_words,
     ab_interval_transform,
@@ -1059,6 +1061,60 @@ def test_ab_operators_give_back_their_memory_once_their_results_are_dropped():
         tracemalloc.stop()
 
 
+@cache
+def cd_interval_by_word(word):
+    """The image of one cd-word as a term dict, by the recursion on its last
+    letter, memoized word by word: the route the one-pass cd transform took
+    before."""
+    if not word:
+        return {"c": 1}
+    u, last = word[:-1], word[-1]
+    u_star = u[::-1]
+    coproduct = _cd_coproduct_word(u).items()
+    if last == "c":
+        out = _accumulate({"d" + u_star: 2}, _framed(cd_interval_by_word(u), "c"))
+        for (u1, u2), coeff in coproduct:
+            _accumulate(out, _framed(cd_interval_by_word(u2), "d" + u1[::-1], coeff))
+        return out
+    out = _accumulate(
+        dict(_framed(cd_interval_by_word(u), "d")),
+        (("dc" + u_star, 1), ("cd" + u_star, 1), ("d" + u_star + "c", 1)),
+    )
+    for (u1, u2), coeff in coproduct:
+        _accumulate(out, (("d" + u2[::-1] + "d" + u1[::-1], coeff),))
+        for x, k in _mixing_cd_words("", u1[::-1]).items():  # the pyramid of u1*
+            _accumulate(out, _framed(cd_interval_by_word(u2), "d" + x, coeff * k))
+    return out
+
+
+@cache
+def dense_cd_interval_cases():
+    """Dense cd-inputs of degrees 8 to 12, in which many words hand their
+    suffixes to one inner word, each with the word recursion summed over its
+    words: (degree, input, expected)."""
+    rng = random.Random(1998)
+    cases = []
+    for n, den in ((8, 1), (9, 4), (10, 1), (11, 7), (12, 1)):
+        p = dense_cd(rng, n, den)
+        expected = {}
+        for word, coeff in p.terms.items():
+            _accumulate(expected, _framed(cd_interval_by_word(word), "", coeff))
+        cases.append((n, p, cd(expected)))
+    return cases
+
+
+def test_one_pass_cd_interval_transform_matches_the_word_recursion_on_dense_polys():
+    for n, p, expected in dense_cd_interval_cases():
+        assert cd_interval_transform(p) == expected, n
+
+
+def test_one_pass_cd_interval_transform_that_replaces_a_carried_dict_is_caught(monkeypatch):
+    # a word reached from two heavier words must merge what both hand it
+    mutant(monkeypatch, operators._pass_on, "if state in states", "if False")
+    for n, p, expected in dense_cd_interval_cases():
+        assert cd_interval_transform(p) != expected, n
+
+
 def test_memo_values_are_not_written_by_their_callers(monkeypatch):
     # Every memo hands its values to all callers, so a caller that writes to
     # one corrupts the next reader.  Clear the memos, record the keys they
@@ -1085,7 +1141,7 @@ def test_memo_values_are_not_written_by_their_callers(monkeypatch):
     expand_cd(dense_cd(rng, 9))
     cd_ce_convert(dense_cd(rng, 9))
     warmed = {memo.__name__ for memo, _ in keys}
-    assert {"_mixing_cd_words", "_cd_interval_word"} <= warmed
+    assert "_mixing_cd_words" in warmed
     assert {"_cd_coproduct_word", "_expand_cd_word"} <= warmed
     snapshots = {(memo, args): copy.deepcopy(memo(*args)) for memo, args in keys}
     assert not any(isinstance(value, NCPoly) for value in snapshots.values())

@@ -413,3 +413,18 @@ def test_the_suites_build_one_interval_poset_per_ready_member(monkeypatch):
     assert sorted(map(id, members)) == sorted(map(id, ready))
     # the rest are the boolean lattices whose interval posets typeb checks
     assert len(built) - len(members) == 7
+
+
+def test_the_suites_judge_each_ready_member_eulerian_once(monkeypatch):
+    judged = []
+    judge = verify.is_eulerian
+    monkeypatch.setattr(verify, "is_eulerian", lambda P: judged.append(P) or judge(P))
+    verify._eulerian_ready.cache_clear()
+    for suite in ("jojic-cd", "typeb"):
+        SUITES[suite](0)
+    ready = [P for _, P, _ in interval_ready_corpus(0)]
+    members = [P for P in judged if any(P is Q for Q in ready)]
+    assert sorted(map(id, members)) == sorted(map(id, ready))
+    # the rest are the interval posets of the Eulerian members, which typeb judges
+    eulerian = [G for _, _, G in verify._eulerian_ready(0)]
+    assert sorted(map(id, judged[len(ready) :])) == sorted(map(id, eulerian))
