@@ -1064,8 +1064,7 @@ def test_ab_operators_give_back_their_memory_once_their_results_are_dropped():
 @cache
 def cd_interval_by_word(word):
     """The image of one cd-word as a term dict, by the recursion on its last
-    letter, memoized word by word: the route the one-pass cd transform took
-    before."""
+    letter, memoized word by word: the oracle of the one-pass cd route."""
     if not word:
         return {"c": 1}
     u, last = word[:-1], word[-1]
